@@ -23,8 +23,9 @@
 //! keep-alive connections parked on the server** (100 → 2 000). Under the old
 //! one-thread-per-connection pool those idle clients would each pin a worker;
 //! under the multiplexer they cost poll-set entries, so throughput and thread
-//! count must both stay flat. The sweep's trajectory is written to
-//! `BENCH_serve.json` at the repository root so successive runs can be
+//! count must both stay flat. The sweep's trajectory is merged into
+//! `BENCH_serve.json` at the repository root (sections `idle_sweep` and
+//! `real_backend`, beside `serve_load`'s) so successive runs can be
 //! compared. Each step also records p50/p99/p999 request latency, read from
 //! the server's own log-bucketed histogram and snapshot-subtracted so every
 //! step reports only its own requests — the same instrumentation `/metrics`
@@ -120,9 +121,9 @@ fn open_idle_clients(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
 /// server cannot masquerade as a fast one.
 fn drive(addr: SocketAddr, pool: &[String]) -> Duration {
     let started = Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for client_id in 0..CLIENTS {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut client = HttpClient::connect(addr).expect("connect");
                 for i in 0..REQUESTS_PER_CLIENT {
                     let text = &pool[(client_id * REQUESTS_PER_CLIENT + i) % pool.len()];
@@ -135,8 +136,7 @@ fn drive(addr: SocketAddr, pool: &[String]) -> Duration {
                 }
             });
         }
-    })
-    .expect("client scope failed");
+    });
     started.elapsed()
 }
 
@@ -150,9 +150,9 @@ fn drive_model(
     requests: usize,
 ) -> Duration {
     let started = Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for client_id in 0..clients {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut client = HttpClient::connect(addr).expect("connect");
                 for i in 0..requests {
                     let text = &pool[(client_id * requests + i) % pool.len()];
@@ -168,8 +168,7 @@ fn drive_model(
                 }
             });
         }
-    })
-    .expect("client scope failed");
+    });
     started.elapsed()
 }
 
@@ -255,12 +254,11 @@ fn real_backend_sweep() -> JsonValue {
     // not the transformer's service time.
     let server = start();
     let addr = server.addr();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let pool = &pool;
-        scope.spawn(move |_| drive_model(addr, pool, "MentalBERT", CLIENTS / 2, requests));
-        scope.spawn(move |_| drive_model(addr, pool, "LR", CLIENTS / 2, requests));
-    })
-    .expect("mixed traffic scope");
+        scope.spawn(move || drive_model(addr, pool, "MentalBERT", CLIENTS / 2, requests));
+        scope.spawn(move || drive_model(addr, pool, "LR", CLIENTS / 2, requests));
+    });
     let snapshot = server.metrics().snapshot();
     let queues = snapshot.get("queues").unwrap();
     let wait_p99 = |kind: &str| {
@@ -302,10 +300,10 @@ fn real_backend_sweep() -> JsonValue {
         "{{\"text\":{},\"model\":\"LR\",\"n_samples\":50,\"top_k\":3}}",
         holistix::corpus::json::json_escape(&pool[0])
     );
-    let shed_seen = crossbeam::thread::scope(|scope| {
+    let shed_seen = std::thread::scope(|scope| {
         for _ in 0..4 {
             let flood_body = &flood_body;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut client = HttpClient::connect(addr).expect("connect flood");
                 for _ in 0..3 {
                     let (status, response) = client
@@ -328,8 +326,7 @@ fn real_backend_sweep() -> JsonValue {
             }
         }
         seen
-    })
-    .expect("flood scope");
+    });
     let shed_total = server
         .metrics()
         .snapshot()
@@ -470,18 +467,21 @@ fn bench_serve_throughput(c: &mut Criterion) {
     );
     let real_backend = real_backend_sweep();
 
-    let report = JsonValue::object(vec![
-        ("bench", JsonValue::string("serve_throughput")),
-        ("active_clients", JsonValue::Number(CLIENTS as f64)),
-        (
-            "requests_per_client",
-            JsonValue::Number(REQUESTS_PER_CLIENT as f64),
-        ),
-        ("idle_sweep", JsonValue::Array(trajectory)),
-        ("real_backend", real_backend.clone()),
-    ]);
+    // Merge (not overwrite): `serve_load` keeps its section of the file.
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(out_path, report.to_string()).expect("write BENCH_serve.json");
+    merge_section(
+        out_path,
+        "idle_sweep",
+        JsonValue::object(vec![
+            ("active_clients", JsonValue::Number(CLIENTS as f64)),
+            (
+                "requests_per_client",
+                JsonValue::Number(REQUESTS_PER_CLIENT as f64),
+            ),
+            ("steps", JsonValue::Array(trajectory)),
+        ]),
+    );
+    merge_section(out_path, "real_backend", real_backend.clone());
     println!("idle-sweep trajectory written to {out_path}");
     // The serving-level quantization speedup also belongs in the transformer
     // trajectory file, next to the kernel-level numbers.

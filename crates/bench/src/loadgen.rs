@@ -17,6 +17,8 @@
 //! passing step is the **max sustainable TPS** — the number the bench
 //! appends to `BENCH_serve.json`.
 
+use holistix::ml::scoped_map;
+use holistix_serve::http::ResponseParser;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -142,77 +144,30 @@ impl OpenLoopReport {
     }
 }
 
-/// Incremental HTTP/1.1 response scanner: counts complete responses in a
-/// byte stream arriving in arbitrary fragments. Framing only — status line
-/// plus `Content-Length` — because the load generator needs counts and
-/// status classes, not bodies.
-#[derive(Debug, Default)]
-pub struct ResponseScanner {
-    buffer: Vec<u8>,
-    /// Body bytes still owed to the current response.
-    body_remaining: usize,
-    /// Completed responses: total, 2xx, 429, 429-with-Retry-After, other.
-    pub responses: usize,
-    pub ok: usize,
-    pub shed: usize,
-    pub shed_with_retry_after: usize,
-    pub other: usize,
-}
-
-impl ResponseScanner {
-    /// Feed the next fragment; complete responses update the counters.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
-        loop {
-            // Swallow body bytes owed first.
-            if self.body_remaining > 0 {
-                let take = self.body_remaining.min(self.buffer.len());
-                self.buffer.drain(..take);
-                self.body_remaining -= take;
-                if self.body_remaining > 0 {
-                    return; // need more bytes
+/// Count every complete response buffered in `parser` into `report`: 2xx as
+/// ok, 429 as shed (noting whether it carried `Retry-After`), anything else
+/// as an error. A framing error leaves the connection unusable.
+fn count_responses(
+    parser: &mut ResponseParser,
+    report: &mut OpenLoopReport,
+) -> std::io::Result<()> {
+    while let Some((status, _, headers)) = parser.poll_response()? {
+        report.responses += 1;
+        match status {
+            200..=299 => report.ok += 1,
+            429 => {
+                report.shed += 1;
+                if headers
+                    .iter()
+                    .any(|(name, _)| name.eq_ignore_ascii_case("retry-after"))
+                {
+                    report.shed_with_retry_after += 1;
                 }
             }
-            // Then look for a complete header block.
-            let Some(end) = find_header_end(&self.buffer) else {
-                return;
-            };
-            let head = String::from_utf8_lossy(&self.buffer[..end]).into_owned();
-            self.buffer.drain(..end + 4);
-            let status = head
-                .split_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse::<u16>().ok())
-                .unwrap_or(0);
-            let mut content_length = 0usize;
-            let mut retry_after = false;
-            for line in head.lines().skip(1) {
-                if let Some((name, value)) = line.split_once(':') {
-                    if name.eq_ignore_ascii_case("content-length") {
-                        content_length = value.trim().parse().unwrap_or(0);
-                    } else if name.eq_ignore_ascii_case("retry-after") {
-                        retry_after = true;
-                    }
-                }
-            }
-            self.responses += 1;
-            match status {
-                200..=299 => self.ok += 1,
-                429 => {
-                    self.shed += 1;
-                    if retry_after {
-                        self.shed_with_retry_after += 1;
-                    }
-                }
-                _ => self.other += 1,
-            }
-            self.body_remaining = content_length;
+            _ => report.errors += 1,
         }
     }
-}
-
-fn find_header_end(buffer: &[u8]) -> Option<usize> {
-    buffer.windows(4).position(|w| w == b"\r\n\r\n")
+    Ok(())
 }
 
 /// One connection's open-loop run: nonblocking socket, client-side output
@@ -241,7 +196,7 @@ fn run_connection(
     let mut stream = stream;
     let mut outbuf: Vec<u8> = Vec::new();
     let mut out_pos = 0usize;
-    let mut scanner = ResponseScanner::default();
+    let mut parser = ResponseParser::new();
     let mut dead = false;
     let start = Instant::now();
 
@@ -255,7 +210,13 @@ fn run_connection(
                 break;
             }
             if !dead {
-                dead = pump(&mut stream, &mut outbuf, &mut out_pos, &mut scanner);
+                dead = pump(
+                    &mut stream,
+                    &mut outbuf,
+                    &mut out_pos,
+                    &mut parser,
+                    &mut report,
+                );
             }
             std::thread::sleep((due - now).min(Duration::from_micros(200)));
         }
@@ -264,25 +225,32 @@ fn run_connection(
         outbuf.extend_from_slice(request);
         report.sent += 1;
         if !dead {
-            dead = pump(&mut stream, &mut outbuf, &mut out_pos, &mut scanner);
+            dead = pump(
+                &mut stream,
+                &mut outbuf,
+                &mut out_pos,
+                &mut parser,
+                &mut report,
+            );
         }
     }
 
     // Drain window: collect straggler responses, bounded.
     let deadline = Instant::now() + drain;
-    while !dead && scanner.responses < report.sent && Instant::now() < deadline {
-        dead = pump(&mut stream, &mut outbuf, &mut out_pos, &mut scanner);
+    while !dead && report.responses < report.sent && Instant::now() < deadline {
+        dead = pump(
+            &mut stream,
+            &mut outbuf,
+            &mut out_pos,
+            &mut parser,
+            &mut report,
+        );
         std::thread::sleep(Duration::from_micros(500));
     }
 
     if dead {
         report.errors += 1;
     }
-    report.responses = scanner.responses;
-    report.ok = scanner.ok;
-    report.shed = scanner.shed;
-    report.shed_with_retry_after = scanner.shed_with_retry_after;
-    report.errors += scanner.other;
     report
 }
 
@@ -292,7 +260,8 @@ fn pump(
     stream: &mut TcpStream,
     outbuf: &mut Vec<u8>,
     out_pos: &mut usize,
-    scanner: &mut ResponseScanner,
+    parser: &mut ResponseParser,
+    report: &mut OpenLoopReport,
 ) -> bool {
     while *out_pos < outbuf.len() {
         match stream.write(&outbuf[*out_pos..]) {
@@ -311,7 +280,12 @@ fn pump(
     loop {
         match stream.read(&mut chunk) {
             Ok(0) => return true,
-            Ok(n) => scanner.feed(&chunk[..n]),
+            Ok(n) => {
+                parser.feed(&chunk[..n]);
+                if count_responses(parser, report).is_err() {
+                    return true;
+                }
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return true,
@@ -333,19 +307,11 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> OpenLoopRepor
     .into_bytes();
     let schedules = Schedule::fixed_tps(config.tps, config.duration).split(config.connections);
     let mut merged = OpenLoopReport::default();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = schedules
-            .iter()
-            .map(|schedule| {
-                let request = &request;
-                scope.spawn(move |_| run_connection(addr, schedule, request, config.drain))
-            })
-            .collect();
-        for handle in handles {
-            merged.merge(&handle.join().expect("loadgen client panicked"));
-        }
-    })
-    .expect("loadgen scope failed");
+    for report in scoped_map(&schedules, |schedule| {
+        run_connection(addr, schedule, &request, config.drain)
+    }) {
+        merged.merge(&report);
+    }
     merged
 }
 
@@ -451,18 +417,32 @@ mod tests {
         let stream = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello\
                        HTTP/1.1 429 Too Many Requests\r\nRetry-After: 2\r\nContent-Length: 2\r\n\r\nno\
                        HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n";
-        // Feed in every chunk size from byte-at-a-time up; counts must not
-        // depend on fragmentation.
-        for chunk_size in 1..=stream.len() {
-            let mut scanner = ResponseScanner::default();
-            for chunk in stream.chunks(chunk_size) {
-                scanner.feed(chunk);
+        let count = |chunks: &[&[u8]]| {
+            let mut parser = ResponseParser::new();
+            let mut report = OpenLoopReport::default();
+            for chunk in chunks {
+                parser.feed(chunk);
+                count_responses(&mut parser, &mut report).unwrap();
             }
-            assert_eq!(scanner.responses, 3, "chunk size {chunk_size}");
-            assert_eq!(scanner.ok, 1);
-            assert_eq!(scanner.shed, 1);
-            assert_eq!(scanner.shed_with_retry_after, 1);
-            assert_eq!(scanner.other, 1);
+            let counts = (
+                report.responses,
+                report.ok,
+                report.shed,
+                report.shed_with_retry_after,
+                report.errors,
+            );
+            assert_eq!(counts, (3, 1, 1, 1, 1), "chunks {chunks:?}");
+        };
+        // All three pipelined responses in one feed.
+        count(&[stream]);
+        // Every chunk size from byte-at-a-time up, and a split at every
+        // byte; counts must not depend on fragmentation.
+        for chunk_size in 1..=stream.len() {
+            count(&stream.chunks(chunk_size).collect::<Vec<_>>());
+        }
+        for split in 0..=stream.len() {
+            let (a, b) = stream.split_at(split);
+            count(&[a, b]);
         }
     }
 

@@ -22,7 +22,6 @@ use holistix_corpus::{
 use holistix_explain::{evaluate_explanations, ExplanationReport, LimeConfig, LimeExplainer};
 use holistix_ml::{cross_validate, ClassificationReport};
 use holistix_transformer::ModelKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 // ---------------------------------------------------------------------------------
@@ -49,7 +48,7 @@ pub fn run_annotation_study(corpus: &HolistixCorpus, seed: u64) -> AnnotationStu
 // ---------------------------------------------------------------------------------
 
 /// Configuration of the Table IV baseline comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvaluationConfig {
     /// Corpus size (`None` = the full 1,420 posts).
     pub corpus_size: Option<usize>,
@@ -123,7 +122,7 @@ impl EvaluationConfig {
 }
 
 /// One Table IV row: a model's per-class metrics averaged over folds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
     /// Model name (paper row label).
     pub model: String,
@@ -134,7 +133,7 @@ pub struct Table4Row {
 }
 
 /// The full Table IV reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Result {
     /// Rows in the requested baseline order.
     pub rows: Vec<Table4Row>,
@@ -239,7 +238,7 @@ pub fn run_table4_on(corpus: &HolistixCorpus, config: &EvaluationConfig) -> Tabl
 // ---------------------------------------------------------------------------------
 
 /// Configuration of the Table V explainability experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table5Config {
     /// Corpus size (`None` = full 1,420 posts).
     pub corpus_size: Option<usize>,
@@ -305,7 +304,7 @@ impl Table5Config {
 }
 
 /// The Table V reproduction: one explanation-quality report per explained model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5Result {
     /// Reports in the order the models were configured.
     pub reports: Vec<ExplanationReport>,
@@ -390,7 +389,7 @@ pub fn run_table5_on(corpus: &HolistixCorpus, config: &Table5Config) -> Table5Re
 
 /// The single-post walkthrough of Fig. 1: a post is classified into a wellness
 /// dimension and its decisive keywords are surfaced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Walkthrough {
     /// The post text.
     pub text: String,

@@ -42,7 +42,7 @@
 //!
 //! 2. **Batched parallel inference.** [`FittedBaseline::predict`] and
 //!    [`FittedBaseline::probabilities`] split large inputs into contiguous batches
-//!    and score them on crossbeam scoped threads (the same pattern the
+//!    and score them on scoped threads (the same pattern the
 //!    cross-validation driver uses for folds). Each row's features and scores
 //!    depend only on that row's text, so batched parallel output is bit-for-bit
 //!    identical to one-text-at-a-time scoring. The LIME explainer feeds its

@@ -13,14 +13,13 @@
 use holistix_explain::ProbabilityModel;
 use holistix_linalg::{CsrMatrix, FeatureMatrix, Matrix};
 use holistix_ml::{
-    Classifier, GaussianNaiveBayes, LinearSvm, LinearSvmConfig, LogisticRegression,
+    scoped_map, Classifier, GaussianNaiveBayes, LinearSvm, LinearSvmConfig, LogisticRegression,
     LogisticRegressionConfig, TextPipeline, TfidfVectorizer, VectorizerOptions,
 };
 use holistix_transformer::{FineTuneRecipe, ModelKind, Trainer};
-use serde::{Deserialize, Serialize};
 
 /// The nine Table IV baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaselineKind {
     /// TF-IDF + multinomial logistic regression ("LR").
     LogisticRegression,
@@ -103,7 +102,7 @@ impl BaselineKind {
 /// How much compute to spend on training. The `Paper` profile follows the paper's
 /// hyper-parameters; `Fast` shrinks the transformers so full-table sweeps finish in a
 /// benchmark run; `Tiny` is for unit and integration tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpeedProfile {
     /// Paper-faithful hyper-parameters (10 epochs, full-size analogues).
     Paper,
@@ -139,11 +138,12 @@ impl ClassicalClassifier {
 const SCORE_BATCH: usize = 64;
 
 /// Split `texts` into at most `available_parallelism` contiguous chunks of at
-/// least [`SCORE_BATCH`] texts, score each chunk on a crossbeam scoped thread
-/// (the same pattern `holistix_ml::cv` uses for folds), and return the per-chunk
-/// results in order. Each chunk is vectorised to CSR and scored independently;
-/// since every row's features and scores depend only on that row's text, the
-/// result is bit-for-bit identical to scoring texts one at a time.
+/// least [`SCORE_BATCH`] texts, score each chunk on its own scoped thread
+/// ([`scoped_map`], the fan-out `holistix_ml::cv` uses for folds), and return
+/// the per-chunk results in order. Each chunk is vectorised to CSR and scored
+/// independently; since every row's features and scores depend only on that
+/// row's text, the result is bit-for-bit identical to scoring texts one at a
+/// time.
 fn score_chunked<T, F>(texts: &[&str], score: F) -> Vec<T>
 where
     T: Send,
@@ -158,22 +158,7 @@ where
     let n_chunks = threads.min(texts.len().div_ceil(SCORE_BATCH));
     let chunk_size = texts.len().div_ceil(n_chunks);
     let chunks: Vec<&[&str]> = texts.chunks(chunk_size).collect();
-    let mut results: Vec<Option<T>> = chunks.iter().map(|_| None).collect();
-    let score = &score;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| scope.spawn(move |_| score(chunk)))
-            .collect();
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("batched scoring thread panicked"));
-        }
-    })
-    .expect("batched scoring thread scope failed");
-    results
-        .into_iter()
-        .map(|r| r.expect("missing chunk result"))
-        .collect()
+    scoped_map(&chunks, |chunk| score(chunk))
 }
 
 /// Class probabilities for classical baselines: sparse vectorisation + sparse

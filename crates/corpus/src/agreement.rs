@@ -5,8 +5,6 @@
 //! kappa for exactly two, plus a small report type used by the annotation-study
 //! experiment and the Fig. 2 bench.
 
-use serde::{Deserialize, Serialize};
-
 /// Fleiss' kappa over an `items × categories` table of rating counts.
 ///
 /// `ratings[i][k]` is the number of raters that assigned item `i` to category `k`.
@@ -127,7 +125,7 @@ pub fn two_rater_table(
 }
 
 /// Summary of an annotation study: observed agreement plus kappa statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgreementReport {
     /// Number of doubly annotated items.
     pub n_items: usize,

@@ -12,10 +12,9 @@ use crate::agreement::AgreementReport;
 use crate::post::{AnnotatedPost, WellnessDimension, ALL_DIMENSIONS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A single simulated annotator: an accuracy level plus a dimension-confusion table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnnotatorProfile {
     /// Display name (e.g. "student-annotator-1").
     pub name: String,
@@ -110,7 +109,7 @@ impl SimulatedAnnotator {
 }
 
 /// A complete simulated annotation study: two independent annotators over a corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnnotationStudy {
     /// First annotator's labels (dense indices, post order).
     pub annotator_a: Vec<usize>,

@@ -21,7 +21,6 @@ use crate::lexicon::{DimensionLexicon, IndicatorLexicon};
 use crate::post::{AnnotatedPost, Post, Span, WellnessDimension, ALL_DIMENSIONS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Beyond Blue forum categories the paper scraped.
 pub const FORUM_CATEGORIES: [&str; 7] = [
@@ -78,7 +77,7 @@ const CLOSERS: &[&str] = &[
 
 /// Calibration parameters for the generator. The defaults reproduce the paper's
 /// Table II statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusCalibration {
     /// Number of posts per class, in table order (IA, VA, SpiA, PA, SA, EA).
     pub class_counts: [usize; 6],
@@ -137,7 +136,7 @@ impl CorpusCalibration {
 }
 
 /// The generated corpus: every post carries its gold label and explanation span.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HolistixCorpus {
     /// Annotated posts in generation order (shuffled across classes).
     pub posts: Vec<AnnotatedPost>,

@@ -10,13 +10,12 @@
 
 use crate::json::{json_escape, JsonParser};
 use crate::post::{AnnotatedPost, Post, Span, WellnessDimension};
-use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
 /// One JSONL record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct JsonlRecord {
     id: usize,
     text: String,
@@ -28,9 +27,8 @@ struct JsonlRecord {
 
 impl JsonlRecord {
     /// Render as a single-line JSON object via [`crate::json`] (the build is
-    /// offline and the vendored serde shim has no data model); the field set is
-    /// small and fixed, so this stays byte-compatible with what `serde_json`
-    /// produced.
+    /// offline, so there is no serde); the field set is small and fixed, so
+    /// this stays byte-compatible with what `serde_json` produced.
     fn to_json(&self) -> String {
         format!(
             "{{\"id\":{},\"text\":{},\"category\":{},\"label\":{},\"span_start\":{},\"span_end\":{}}}",

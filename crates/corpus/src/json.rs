@@ -1,7 +1,7 @@
 //! Hand-rolled JSON, shared by the corpus serialisers and the serving layer.
 //!
-//! The build is fully offline and the vendored serde shim has no data model, so
-//! every JSON byte this workspace reads or writes goes through this module:
+//! The build is fully offline (no serde), so every JSON byte this workspace
+//! reads or writes goes through this module:
 //!
 //! * [`json_escape`] — string escaping byte-compatible with `serde_json`;
 //! * [`JsonParser`] — a pull scanner over a `&str` for callers that know their

@@ -1,12 +1,11 @@
 //! Data model: wellness dimensions, posts, explanation spans.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// The six wellness dimensions of the Dunn/Hettler model, in the order the paper's
 /// tables use (IA, VA, SpiA, PA, SA, EA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WellnessDimension {
     /// Intellectual Aspect — academic stress, intellectual inadequacy, learning frustration.
     Intellectual,
@@ -115,7 +114,7 @@ impl FromStr for WellnessDimension {
 }
 
 /// A byte-offset span inside a post's text, used for explanation annotations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Byte offset of the first byte of the span.
     pub start: usize,
@@ -162,7 +161,7 @@ impl Span {
 }
 
 /// A raw (pre-annotation) forum post.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Post {
     /// Stable identifier within the corpus.
     pub id: usize,
@@ -190,7 +189,7 @@ impl Post {
 
 /// A post together with its gold annotation: the wellness dimension and the
 /// explanatory text span that justifies it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnotatedPost {
     /// The underlying post.
     pub post: Post,

@@ -9,10 +9,9 @@
 use crate::post::AnnotatedPost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Index-based train/validation/test split of a corpus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetSplit {
     /// Indices of training posts.
     pub train: Vec<usize>,
@@ -55,7 +54,7 @@ impl DatasetSplit {
 }
 
 /// One fold of a cross-validation: train and held-out test indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fold {
     /// Indices used for training in this fold.
     pub train: Vec<usize>,
@@ -64,7 +63,7 @@ pub struct Fold {
 }
 
 /// A full set of cross-validation folds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossValidationFolds {
     /// The folds, in order.
     pub folds: Vec<Fold>,

@@ -2,12 +2,11 @@
 
 use crate::post::{AnnotatedPost, WellnessDimension, ALL_DIMENSIONS};
 use holistix_text::StopwordFilter;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// The statistics the paper reports in Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusStatistics {
     /// Total number of posts.
     pub total_posts: usize,
@@ -163,7 +162,7 @@ impl fmt::Display for CorpusStatistics {
 }
 
 /// The per-dimension frequent-word analysis of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrequentWords {
     /// For each dimension (table order): the top words in its explanation spans with
     /// their total counts, most frequent first.

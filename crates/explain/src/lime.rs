@@ -15,7 +15,6 @@
 //!    against the gold explanation span.
 
 use holistix_linalg::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// Anything that can score texts with class probabilities.
 ///
@@ -58,7 +57,7 @@ fn text_words(text: &str) -> Vec<String> {
 }
 
 /// LIME hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LimeConfig {
     /// Number of perturbed samples per explanation.
     pub n_samples: usize,
@@ -98,7 +97,7 @@ impl Default for LimeConfig {
 }
 
 /// The explanation of one prediction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LimeExplanation {
     /// The class the explanation is for.
     pub target_class: usize,

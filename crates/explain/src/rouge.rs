@@ -5,11 +5,10 @@
 //! with ROUGE; the paper reports a single ROUGE figure, which corresponds to the
 //! ROUGE-1 F-measure here (candidate = LIME keywords, reference = gold span words).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Precision / recall / F-measure triple for a ROUGE variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RougeScore {
     /// Overlap / candidate length.
     pub precision: f64,

@@ -9,11 +9,10 @@
 
 use crate::bleu::bleu;
 use crate::rouge::rouge_1;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Metrics for a single explanation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExplanationMetrics {
     /// Token-set precision of the predicted keywords against the gold span words.
     pub precision: f64,
@@ -66,7 +65,7 @@ impl ExplanationMetrics {
 }
 
 /// The aggregate Table V row for one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplanationReport {
     /// Model display name.
     pub model_name: String,

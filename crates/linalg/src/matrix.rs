@@ -1,6 +1,5 @@
 //! Row-major dense matrix of `f64`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 /// Indexing is `(row, col)`. All arithmetic methods panic on shape mismatch — shape
 /// errors in this codebase are always programming errors, not data errors, so the
 /// panics carry descriptive messages rather than being surfaced as `Result`s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

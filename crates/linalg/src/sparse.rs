@@ -27,10 +27,9 @@
 //! [`row_dot`]: FeatureRows::row_dot
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A sparse `f64` matrix in compressed sparse row form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
@@ -383,7 +382,7 @@ impl CsrBuilder {
 /// Classical training on small dense problems stays `Dense`; TF-IDF feature
 /// extraction and batched inference use `Sparse`. Classifiers accept either via
 /// [`FeatureRows`], so the choice is made once, where the data is produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FeatureMatrix {
     /// Row-major dense storage.
     Dense(Matrix),

@@ -4,11 +4,10 @@
 //! classifiers need (dot products, norms, axpy) without pulling in a full array
 //! library. It intentionally converts to/from `Vec<f64>` freely.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut, Index, IndexMut};
 
 /// A dense `f64` vector.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector(pub Vec<f64>);
 
 impl Vector {

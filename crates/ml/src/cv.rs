@@ -20,7 +20,6 @@ use crate::metrics::ClassificationReport;
 use crate::parallel::scoped_map;
 use holistix_corpus::splits::CrossValidationFolds;
 use holistix_linalg::FeatureMatrix;
-use serde::{Deserialize, Serialize};
 
 /// A text-in, label-out classification pipeline (feature extraction + model).
 pub trait TextPipeline: Send {
@@ -38,7 +37,7 @@ pub trait TextPipeline: Send {
 
 /// How many threads a cross-validation run may occupy in total, shared between
 /// concurrent folds and each fold's sharded vectoriser fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadBudget {
     /// Total threads the run may use (`folds × per-fold shards ≤ threads`).
     pub threads: usize,
@@ -150,7 +149,7 @@ impl<C: Classifier + Send> TextPipeline for TfidfPipeline<C> {
 }
 
 /// The outcome of a single cross-validation fold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FoldOutcome {
     /// Fold index (0-based).
     pub fold: usize,
@@ -159,7 +158,7 @@ pub struct FoldOutcome {
 }
 
 /// The result of a full cross-validation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossValidationReport {
     /// Name of the evaluated pipeline.
     pub model_name: String,

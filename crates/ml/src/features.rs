@@ -52,11 +52,10 @@ use holistix_text::{
     ngrams, stem, token_spans, Interner, StopwordFilter, Sym, TokenKind, Vocabulary,
     VocabularyBuilder,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Analyzer and vocabulary options shared by both vectorisers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VectorizerOptions {
     /// Lower-case and keep word tokens only (numbers and punctuation dropped).
     pub lowercase: bool,
@@ -363,7 +362,7 @@ fn count_block(vocabulary: &Vocabulary, interner: &Interner, documents: &[Vec<Sy
 }
 
 /// Raw term-count vectoriser (`CountVectorizer` analogue).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountVectorizer {
     options: VectorizerOptions,
     vocabulary: Vocabulary,
@@ -483,7 +482,7 @@ impl CountVectorizer {
 }
 
 /// TF-IDF vectoriser (`TfidfVectorizer` analogue with scikit-learn smoothing).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TfidfVectorizer {
     counts: CountVectorizer,
     idf: Vec<f64>,

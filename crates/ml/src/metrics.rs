@@ -6,11 +6,10 @@
 //! both predictions and gold labels get 0 for all three (the scikit-learn
 //! `zero_division=0` convention the paper's scripts use).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense confusion matrix: `counts[gold][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     counts: Vec<Vec<usize>>,
     n_classes: usize,
@@ -105,7 +104,7 @@ impl fmt::Display for ConfusionMatrix {
 }
 
 /// Precision, recall, F1 and support for a single class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMetrics {
     /// Precision = TP / (TP + FP); 0 when undefined.
     pub precision: f64,
@@ -145,7 +144,7 @@ impl ClassMetrics {
 }
 
 /// A full classification report: per-class metrics plus aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassificationReport {
     /// Per-class metrics, indexed by dense class id.
     pub per_class: Vec<ClassMetrics>,

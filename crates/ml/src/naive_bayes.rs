@@ -10,10 +10,9 @@
 
 use crate::classifier::Classifier;
 use holistix_linalg::{softmax, CsrMatrix, FeatureMatrix, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for [`GaussianNaiveBayes`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GaussianNbConfig {
     /// Portion of the largest feature variance added to every variance for stability
     /// (scikit-learn default: 1e-9).

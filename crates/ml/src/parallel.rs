@@ -26,17 +26,16 @@ where
     F: Fn(&I) -> T + Sync,
 {
     let f = &f;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .iter()
-            .map(|item| scope.spawn(move |_| f(item)))
+            .map(|item| scope.spawn(move || f(item)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("scoped_map worker thread panicked"))
             .collect()
     })
-    .expect("scoped_map thread scope failed")
 }
 
 /// Reduce `items` to one value by rounds of adjacent-pair merges, running the
@@ -74,17 +73,16 @@ where
             next.push(merge(left, right));
         } else {
             let merge = &merge;
-            let merged = crossbeam::thread::scope(|scope| {
+            let merged = std::thread::scope(|scope| {
                 let handles: Vec<_> = pairs
                     .into_iter()
-                    .map(|(left, right)| scope.spawn(move |_| merge(left, right)))
+                    .map(|(left, right)| scope.spawn(move || merge(left, right)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("tree_reduce worker thread panicked"))
                     .collect::<Vec<T>>()
-            })
-            .expect("tree_reduce thread scope failed");
+            });
             next.extend(merged);
         }
         next.extend(tail);

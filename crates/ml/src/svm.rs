@@ -8,10 +8,9 @@
 
 use crate::classifier::Classifier;
 use holistix_linalg::{softmax, FeatureMatrix, FeatureRows, Matrix, Rng64};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for [`LinearSvm`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearSvmConfig {
     /// Initial learning rate.
     pub learning_rate: f64,

@@ -360,7 +360,7 @@ mod tests {
         })
     }
 
-    /// Spawn every queue's drain loop in a crossbeam scope, run `body` with
+    /// Spawn every queue's drain loop in a thread scope, run `body` with
     /// the handle, and join cleanly when the handle drops.
     fn with_queues<F: FnOnce(&BatcherHandle) + Send>(
         registry: &SharedRegistry,
@@ -369,14 +369,13 @@ mod tests {
         body: F,
     ) {
         let (handle, queues) = build_queues(registry, base, metrics, usize::MAX);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for queue in queues {
-                scope.spawn(move |_| queue.run(registry, metrics));
+                scope.spawn(move || queue.run(registry, metrics));
             }
             body(&handle);
             drop(handle); // lets every drain loop exit
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -472,10 +471,10 @@ mod tests {
         // Fill the cap exactly by enqueueing without awaiting replies: send
         // the jobs by hand through a second handle thread would block on
         // recv, so reserve via the public path in a scope that never drains.
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..3 {
                 let handle = handle.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Blocks on recv until the queues are dropped below; the
                     // reservation itself is what this test observes.
                     let _ = handle.predict_many(BaselineKind::LogisticRegression, texts(1));
@@ -496,8 +495,7 @@ mod tests {
             assert!(matches!(err, PredictError::QueueFull { depth: 3, .. }));
             assert_eq!(metrics.queue("LR", "classical").depth(), 3);
             drop(queues); // disconnects the channel, unblocking the senders
-        })
-        .unwrap();
+        });
     }
 
     #[test]

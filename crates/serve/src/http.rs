@@ -10,19 +10,18 @@
 //! timeout fires, or either side hangs up — HTTP/1.1 semantics, where
 //! persistence is the default.
 //!
-//! [`read_request`] and [`write_response`] are generic over `BufRead`/`Write`
-//! so they unit-test against in-memory buffers. [`RequestParser`] is the
-//! incremental twin of `read_request` for the nonblocking connection
-//! multiplexer: it accumulates whatever fragments the socket delivers and
-//! yields complete requests with the same semantics and limits as the
-//! blocking parser (a unit test feeds both the same streams byte-for-byte).
-//! Two clients match the server:
-//! [`http_request`], the one-shot `Connection: close` helper, and
-//! [`HttpClient`], a blocking keep-alive client that pipelines any number of
-//! request/response round-trips over one TCP connection (what the
-//! `serve_throughput` bench and the CI smoke drive).
+//! Both parsers are incremental: [`RequestParser`] (server side) and
+//! [`ResponseParser`] (client side) accumulate whatever fragments the socket
+//! delivers and yield complete messages, so the nonblocking pollers and the
+//! open-loop load generator use them as-is, and the unit tests feed them
+//! in-memory streams split at every point. [`write_response`] is generic over
+//! `Write`. Two clients match the server: [`HttpClient`], a blocking
+//! keep-alive client that runs any number of request/response round-trips
+//! over one TCP connection (what the `serve_throughput` bench and the CI smoke
+//! drive), and [`http_request`], a one-shot `Connection: close` wrapper over
+//! it.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// Reject request bodies larger than this (1 MiB): the API carries forum-post
@@ -34,7 +33,7 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 pub const MAX_HEAD_BYTES: u64 = 16 << 10;
 
 /// A parsed HTTP request: the line, the body, and the connection directive.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Request {
     /// Request method (`GET`, `POST`, …), upper-case as received.
     pub method: String,
@@ -140,34 +139,143 @@ fn invalid(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-/// Read one `\n`-terminated line, drawing at most `budget` bytes. A line that
-/// exhausts the budget without a newline is an error ([`MAX_HEAD_BYTES`]
-/// enforcement), not an allocation.
-fn read_line_limited<R: BufRead>(reader: &mut R, budget: &mut u64) -> io::Result<String> {
-    let mut line = String::new();
-    let read = reader.by_ref().take(*budget).read_line(&mut line)? as u64;
-    if read == *budget && !line.ends_with('\n') {
+/// The framing both parsers share: the bytes the socket delivered so far,
+/// split into a head (through its blank line) and a body.
+#[derive(Debug, Default)]
+struct Framing<H> {
+    buffer: Vec<u8>,
+    /// Resume point for the head-terminator scan, so feeding a head one byte
+    /// at a time stays linear instead of rescanning from zero each poll.
+    scanned: usize,
+    /// A parsed head waiting for its body: the head, the bytes it occupies in
+    /// the buffer, and the body length (`None`: framed by the peer closing).
+    pending: Option<(H, usize, Option<usize>)>,
+}
+
+impl<H> Framing<H> {
+    /// Parse the head with `parse_head` once its terminator (a blank line:
+    /// `\r\n\r\n` or bare `\n\n`) is buffered, then return it with its body
+    /// once every body byte is buffered. Bytes past the message stay
+    /// buffered for the next poll.
+    fn poll(
+        &mut self,
+        parse_head: impl FnOnce(&[u8]) -> io::Result<(H, Option<usize>)>,
+    ) -> io::Result<Option<(H, String)>> {
+        if self.pending.is_none() {
+            let Some(head_len) = self.find_head_end() else {
+                return Ok(None);
+            };
+            let (head, body_len) = parse_head(&self.buffer[..head_len])?;
+            self.pending = Some((head, head_len, body_len));
+        }
+        match self.pending {
+            Some((_, head_len, Some(body_len))) if self.buffer.len() >= head_len + body_len => {
+                self.take(head_len + body_len).map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
+    fn find_head_end(&mut self) -> Option<usize> {
+        let buffer = &self.buffer;
+        for i in self.scanned..buffer.len() {
+            if buffer[i] != b'\n' {
+                continue;
+            }
+            match buffer.get(i + 1) {
+                Some(b'\n') => return Some(i + 2),
+                Some(b'\r') if buffer.get(i + 2) == Some(&b'\n') => return Some(i + 3),
+                _ => {}
+            }
+        }
+        // A terminator may straddle the next read; re-examine the tail.
+        self.scanned = buffer.len().saturating_sub(2);
+        None
+    }
+
+    /// Remove the pending head and the first `total` buffered bytes, which
+    /// hold it and its body.
+    fn take(&mut self, total: usize) -> io::Result<(H, String)> {
+        let (head, head_len, _) = self.pending.take().expect("pending head");
+        let body = String::from_utf8(self.buffer[head_len..total].to_vec())
+            .map_err(|_| invalid("body is not valid UTF-8"))?;
+        self.buffer.drain(..total);
+        self.scanned = 0;
+        Ok((head, body))
+    }
+}
+
+/// An incremental, resumable request parser, built for the poller's
+/// edge-driven reads: bytes arrive in arbitrary fragments via
+/// [`feed`](Self::feed), and [`poll_request`](Self::poll_request) yields a
+/// [`Request`] exactly when one is complete, `None` when more bytes are
+/// needed, or an error on a protocol violation (head over [`MAX_HEAD_BYTES`],
+/// bad or oversized `Content-Length`, non-UTF-8 body).
+///
+/// The parser owns a growable buffer, so a request split across any number of
+/// reads — down to one byte at a time — parses identically to a single-shot
+/// read, and bytes past a complete request (pipelining) stay buffered for the
+/// next poll. After an error the connection is unrecoverable (framing is
+/// lost); the caller answers 400 and closes.
+#[derive(Debug, Default)]
+pub struct RequestParser {
+    framing: Framing<Request>,
+}
+
+impl RequestParser {
+    /// A fresh parser with nothing buffered.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append freshly read bytes to the parse buffer.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.framing.buffer.extend_from_slice(bytes);
+    }
+
+    /// True when no partial request is buffered — EOF here is the clean end
+    /// of a keep-alive session, while EOF mid-request is a peer abort.
+    pub fn is_idle(&self) -> bool {
+        self.framing.buffer.is_empty() && self.framing.pending.is_none()
+    }
+
+    /// Bytes currently buffered (unparsed input plus any pending head).
+    pub fn buffered(&self) -> usize {
+        self.framing.buffer.len()
+    }
+
+    /// Try to complete one request from the buffered bytes. `Ok(None)` means
+    /// the buffer holds only a request prefix — feed more and poll again.
+    /// Call in a loop to drain pipelined requests.
+    pub fn poll_request(&mut self) -> io::Result<Option<Request>> {
+        if let Some((mut request, body)) = self.framing.poll(parse_request_head)? {
+            request.body = body;
+            return Ok(Some(request));
+        }
+        // Enforce the head limit even while the terminator is still
+        // outstanding, so a client streaming an endless header cannot grow
+        // the buffer unboundedly.
+        if self.framing.pending.is_none() && self.buffered() as u64 >= MAX_HEAD_BYTES {
+            return Err(invalid(format!(
+                "request head exceeds the {MAX_HEAD_BYTES} byte limit"
+            )));
+        }
+        Ok(None)
+    }
+}
+
+/// Parse a request line and headers into a [`Request`] with an empty body,
+/// plus the body length.
+fn parse_request_head(head: &[u8]) -> io::Result<(Request, Option<usize>)> {
+    if head.len() as u64 > MAX_HEAD_BYTES {
         return Err(invalid(format!(
             "request head exceeds the {MAX_HEAD_BYTES} byte limit"
         )));
     }
-    *budget -= read;
-    Ok(line)
-}
-
-/// Read one request: request line, headers (`Content-Length` and `Connection`
-/// are interpreted), then exactly `Content-Length` body bytes.
-///
-/// Returns `Ok(None)` when the connection is cleanly closed (EOF) before a
-/// request line arrives — the normal end of a keep-alive session, not an
-/// error. EOF *inside* a request (mid-headers, short body) is an error.
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let mut head_budget = MAX_HEAD_BYTES;
-    let line = read_line_limited(reader, &mut head_budget)?;
-    if line.is_empty() {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
+    let head = std::str::from_utf8(head).map_err(|_| invalid("request head is not valid UTF-8"))?;
+    let mut lines = head.split('\n');
+    let request_line = lines.next().unwrap_or("");
+    let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
         .ok_or_else(|| invalid("empty request line"))?
@@ -177,19 +285,11 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
             .next()
             .ok_or_else(|| invalid("request line missing path"))?,
     );
-
     let mut content_length = 0usize;
     let mut close = false;
     let mut accept = String::new();
-    loop {
-        let header = read_line_limited(reader, &mut head_budget)?;
-        if header.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed inside headers",
-            ));
-        }
-        let header = header.trim_end();
+    for line in lines {
+        let header = line.trim_end();
         if header.is_empty() {
             break;
         }
@@ -212,191 +312,15 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
             "body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte limit"
         )));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| invalid("body is not valid UTF-8"))?;
-    Ok(Some(Request {
+    let request = Request {
         method,
         path,
         query,
         accept,
-        body,
+        body: String::new(),
         close,
-    }))
-}
-
-/// A request head parsed out of the buffer, waiting for its body bytes.
-#[derive(Debug)]
-struct PendingHead {
-    method: String,
-    path: String,
-    query: String,
-    accept: String,
-    close: bool,
-    /// Bytes the head occupies in the buffer (through the blank line).
-    head_len: usize,
-    content_length: usize,
-}
-
-/// An incremental, resumable request parser — the nonblocking twin of
-/// [`read_request`], built for the poller's edge-driven reads: bytes arrive in
-/// arbitrary fragments via [`feed`](Self::feed), and
-/// [`poll_request`](Self::poll_request) yields a [`Request`] exactly when one
-/// is complete, `None` when more bytes are needed, or an error on the same
-/// protocol violations the blocking parser rejects (head over
-/// [`MAX_HEAD_BYTES`], bad or oversized `Content-Length`, non-UTF-8 body).
-///
-/// The parser owns a growable buffer, so a request split across any number of
-/// reads — down to one byte at a time — parses identically to a single-shot
-/// read, and bytes past a complete request (pipelining) stay buffered for the
-/// next poll. After an error the connection is unrecoverable (framing is
-/// lost); the caller answers 400 and closes.
-#[derive(Debug, Default)]
-pub struct RequestParser {
-    buffer: Vec<u8>,
-    /// Resume point for the head-terminator scan, so feeding a head one byte
-    /// at a time stays linear instead of rescanning from zero each poll.
-    scanned: usize,
-    head: Option<PendingHead>,
-}
-
-impl RequestParser {
-    /// A fresh parser with nothing buffered.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append freshly read bytes to the parse buffer.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
-    }
-
-    /// True when no partial request is buffered — EOF here is the clean end
-    /// of a keep-alive session, while EOF mid-request is a peer abort.
-    pub fn is_idle(&self) -> bool {
-        self.buffer.is_empty() && self.head.is_none()
-    }
-
-    /// Bytes currently buffered (unparsed input plus any pending head).
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Try to complete one request from the buffered bytes. `Ok(None)` means
-    /// the buffer holds only a request prefix — feed more and poll again.
-    /// Call in a loop to drain pipelined requests.
-    pub fn poll_request(&mut self) -> io::Result<Option<Request>> {
-        if self.head.is_none() {
-            match self.find_head_end()? {
-                Some(head_len) => self.head = Some(self.parse_head(head_len)?),
-                None => return Ok(None),
-            }
-        }
-        let pending = self.head.as_ref().expect("pending head");
-        let total = pending.head_len + pending.content_length;
-        if self.buffer.len() < total {
-            return Ok(None);
-        }
-        let pending = self.head.take().expect("pending head");
-        let body = String::from_utf8(self.buffer[pending.head_len..total].to_vec())
-            .map_err(|_| invalid("body is not valid UTF-8"))?;
-        self.buffer.drain(..total);
-        self.scanned = 0;
-        Ok(Some(Request {
-            method: pending.method,
-            path: pending.path,
-            query: pending.query,
-            accept: pending.accept,
-            body,
-            close: pending.close,
-        }))
-    }
-
-    /// Locate the head terminator (a blank line: `\r\n\r\n` or bare `\n\n`),
-    /// returning the head length including it. Enforces [`MAX_HEAD_BYTES`]
-    /// even while the terminator is still outstanding, so a client streaming
-    /// an endless header cannot grow the buffer unboundedly.
-    fn find_head_end(&mut self) -> io::Result<Option<usize>> {
-        let buffer = &self.buffer;
-        for i in self.scanned..buffer.len() {
-            if buffer[i] != b'\n' {
-                continue;
-            }
-            match buffer.get(i + 1) {
-                Some(b'\n') => return Ok(Some(i + 2)),
-                Some(b'\r') if buffer.get(i + 2) == Some(&b'\n') => return Ok(Some(i + 3)),
-                _ => {}
-            }
-        }
-        if buffer.len() as u64 >= MAX_HEAD_BYTES {
-            return Err(invalid(format!(
-                "request head exceeds the {MAX_HEAD_BYTES} byte limit"
-            )));
-        }
-        // A terminator may straddle the next read; re-examine the tail.
-        self.scanned = buffer.len().saturating_sub(2);
-        Ok(None)
-    }
-
-    /// Parse the head's request line and headers — the same rules (and error
-    /// messages) as [`read_request`].
-    fn parse_head(&self, head_len: usize) -> io::Result<PendingHead> {
-        if head_len as u64 > MAX_HEAD_BYTES {
-            return Err(invalid(format!(
-                "request head exceeds the {MAX_HEAD_BYTES} byte limit"
-            )));
-        }
-        let head = std::str::from_utf8(&self.buffer[..head_len])
-            .map_err(|_| invalid("request head is not valid UTF-8"))?;
-        let mut lines = head.split('\n');
-        let request_line = lines.next().unwrap_or("");
-        let mut parts = request_line.split_whitespace();
-        let method = parts
-            .next()
-            .ok_or_else(|| invalid("empty request line"))?
-            .to_string();
-        let (path, query) = split_target(
-            parts
-                .next()
-                .ok_or_else(|| invalid("request line missing path"))?,
-        );
-        let mut content_length = 0usize;
-        let mut close = false;
-        let mut accept = String::new();
-        for line in lines {
-            let header = line.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                let name = name.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| invalid(format!("bad Content-Length {value:?}")))?;
-                } else if name.eq_ignore_ascii_case("connection") {
-                    close = value.trim().eq_ignore_ascii_case("close");
-                } else if name.eq_ignore_ascii_case("accept") {
-                    accept = value.trim().to_string();
-                }
-            }
-        }
-        if content_length > MAX_BODY_BYTES {
-            return Err(invalid(format!(
-                "body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte limit"
-            )));
-        }
-        Ok(PendingHead {
-            method,
-            path,
-            query,
-            accept,
-            close,
-            head_len,
-            content_length,
-        })
-    }
+    };
+    Ok((request, Some(content_length)))
 }
 
 fn reason(status: u16) -> &'static str {
@@ -446,94 +370,116 @@ pub fn write_response<W: Write>(
     writer.flush()
 }
 
-/// Write one request to `writer`. The client half of [`write_response`].
-/// `extra_headers` are emitted verbatim as `Name: value` lines (e.g. an
-/// `Accept` for `/metrics` content negotiation).
-fn write_request<W: Write>(
-    writer: &mut W,
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    close: bool,
-    extra_headers: &[(&str, &str)],
-) -> io::Result<()> {
-    let connection = if close { "close" } else { "keep-alive" };
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        body.len()
-    )?;
-    for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
+/// A parsed response: `(status, body, headers)`. Header names keep their wire
+/// casing; match them case-insensitively.
+pub type FullResponse = (u16, String, Vec<(String, String)>);
+
+/// An incremental, resumable response parser, the client-side twin of
+/// [`RequestParser`]: bytes arrive in arbitrary fragments via
+/// [`feed`](Self::feed), and [`poll_response`](Self::poll_response) yields a
+/// [`FullResponse`] exactly when one is complete. Bytes past it (pipelined
+/// responses) stay buffered for the next poll. A response without
+/// `Content-Length` is framed by the server closing the connection, so only
+/// [`finish`](Self::finish), called at EOF, completes it.
+/// [`read_from`](Self::read_from) is the blocking loop over a reader.
+#[derive(Debug, Default)]
+pub struct ResponseParser {
+    framing: Framing<FullResponse>,
+}
+
+impl ResponseParser {
+    /// A fresh parser with nothing buffered.
+    pub fn new() -> Self {
+        Self::default()
     }
-    write!(writer, "\r\n{body}")?;
-    writer.flush()
+
+    /// Append freshly read bytes to the parse buffer.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.framing.buffer.extend_from_slice(bytes);
+    }
+
+    /// Try to complete one response from the buffered bytes. `Ok(None)` means
+    /// more bytes are needed (or, for a body framed by close, EOF). Call in a
+    /// loop to drain pipelined responses.
+    pub fn poll_response(&mut self) -> io::Result<Option<FullResponse>> {
+        let response = self.framing.poll(parse_response_head)?;
+        Ok(response.map(|((status, _, headers), body)| (status, body, headers)))
+    }
+
+    /// The peer closed the connection: complete a response whose body is
+    /// framed by the close. Call in a loop like
+    /// [`poll_response`](Self::poll_response); `Ok(None)` once nothing is
+    /// buffered. EOF inside a head or a `Content-Length` body is an
+    /// `UnexpectedEof` error.
+    pub fn finish(&mut self) -> io::Result<Option<FullResponse>> {
+        if let Some(response) = self.poll_response()? {
+            return Ok(Some(response));
+        }
+        match self.framing.pending {
+            Some((_, _, None)) => {
+                let ((status, _, headers), body) = self.framing.take(self.framing.buffer.len())?;
+                Ok(Some((status, body, headers)))
+            }
+            None if self.framing.buffer.is_empty() => Ok(None),
+            _ => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed inside a response",
+            )),
+        }
+    }
+
+    /// Block on `reader` until one response is complete.
+    pub fn read_from<R: Read>(&mut self, reader: &mut R) -> io::Result<FullResponse> {
+        let mut chunk = [0u8; 8 << 10];
+        loop {
+            if let Some(response) = self.poll_response()? {
+                return Ok(response);
+            }
+            match reader.read(&mut chunk) {
+                Ok(0) => {
+                    return self.finish()?.ok_or_else(|| {
+                        io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "connection closed before a response",
+                        )
+                    })
+                }
+                Ok(n) => self.feed(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
-/// A client-side parsed response: status, body, every header as received,
-/// and whether the server announced it will close the connection.
-struct ClientResponse {
-    status: u16,
-    body: String,
-    headers: Vec<(String, String)>,
-    server_closes: bool,
-}
-
-/// Read one response from `reader`: status line, headers, `Content-Length`
-/// body. `server_closes` is true when the server announced
-/// `Connection: close` (or sent no length, framing the body by EOF).
-fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResponse> {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
+/// Parse a status line and headers into a [`FullResponse`] with an empty
+/// body, plus the body length (`None` without `Content-Length`).
+fn parse_response_head(head: &[u8]) -> io::Result<(FullResponse, Option<usize>)> {
+    let text =
+        std::str::from_utf8(head).map_err(|_| invalid("response head is not valid UTF-8"))?;
+    let mut lines = text.split('\n');
+    let status_line = lines.next().unwrap_or("");
+    let status = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| invalid(format!("bad status line {status_line:?}")))?;
-    let mut content_length: Option<usize> = None;
-    let mut server_closes = false;
+    let mut content_length = None;
     let mut headers = Vec::new();
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            let length = value
+                .parse()
+                .map_err(|_| invalid(format!("bad Content-Length {value:?}")))?;
+            content_length = Some(length);
         }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let name = name.trim();
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().ok();
-            } else if name.eq_ignore_ascii_case("connection") {
-                server_closes = value.eq_ignore_ascii_case("close");
-            }
-            headers.push((name.to_string(), value.to_string()));
-        }
+        headers.push((name.to_string(), value.to_string()));
     }
-    let body = match content_length {
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf)?;
-            String::from_utf8(buf).map_err(|_| invalid("response body is not valid UTF-8"))?
-        }
-        // No length: the server frames the body by closing, so read to EOF.
-        None => {
-            server_closes = true;
-            let mut buf = String::new();
-            reader.read_to_string(&mut buf)?;
-            buf
-        }
-    };
-    Ok(ClientResponse {
-        status,
-        body,
-        headers,
-        server_closes,
-    })
+    Ok(((status, String::new(), headers), content_length))
 }
 
 /// One-shot blocking HTTP client: connect, send one `Connection: close`
@@ -547,24 +493,9 @@ pub fn http_request(
     path: &str,
     body: Option<&str>,
 ) -> io::Result<(u16, String)> {
-    let stream = TcpStream::connect(addr)?;
-    write_request(
-        &mut (&stream),
-        addr,
-        method,
-        path,
-        body.unwrap_or(""),
-        true,
-        &[],
-    )?;
-    let mut reader = BufReader::new(&stream);
-    let response = read_response(&mut reader)?;
-    Ok((response.status, response.body))
+    let (status, body, _) = HttpClient::connect(addr)?.round_trip(method, path, body, &[], true)?;
+    Ok((status, body))
 }
-
-/// What [`HttpClient::request_full`] returns: `(status, body, headers)`.
-/// Header names keep their wire casing; match them case-insensitively.
-pub type FullResponse = (u16, String, Vec<(String, String)>);
 
 /// A blocking keep-alive HTTP client: one TCP connection, any number of
 /// request/response round-trips. This is what makes connection reuse
@@ -574,7 +505,7 @@ pub type FullResponse = (u16, String, Vec<(String, String)>);
 pub struct HttpClient {
     addr: SocketAddr,
     stream: TcpStream,
-    reader: BufReader<TcpStream>,
+    responses: ResponseParser,
     closed: bool,
 }
 
@@ -582,11 +513,13 @@ impl HttpClient {
     /// Connect to `addr`.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        // Each request leaves in one write, but one larger than a segment
+        // would still hold its tail back for an ACK under Nagle's algorithm.
+        stream.set_nodelay(true)?;
         Ok(Self {
             addr,
             stream,
-            reader,
+            responses: ResponseParser::new(),
             closed: false,
         })
     }
@@ -616,36 +549,225 @@ impl HttpClient {
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> io::Result<FullResponse> {
+        self.round_trip(method, path, body, extra_headers, false)
+    }
+
+    fn round_trip(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        extra_headers: &[(&str, &str)],
+        close: bool,
+    ) -> io::Result<FullResponse> {
         if self.closed {
             return Err(io::Error::new(
                 io::ErrorKind::NotConnected,
                 "server closed this keep-alive connection",
             ));
         }
-        write_request(
-            &mut self.stream,
+        // The client half of [`write_response`], assembled in one buffer so
+        // it leaves in one write. `extra_headers` are emitted verbatim as
+        // `Name: value` lines (e.g. an `Accept` for `/metrics` content
+        // negotiation).
+        let body = body.unwrap_or("");
+        let connection = if close { "close" } else { "keep-alive" };
+        let mut request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
             self.addr,
-            method,
-            path,
-            body.unwrap_or(""),
-            false,
-            extra_headers,
-        )?;
-        let response = read_response(&mut self.reader)?;
-        if response.server_closes {
-            self.closed = true;
+            body.len()
+        );
+        for (name, value) in extra_headers {
+            request += &format!("{name}: {value}\r\n");
         }
-        Ok((response.status, response.body, response.headers))
+        request += "\r\n";
+        request += body;
+        self.stream.write_all(request.as_bytes())?;
+        let response = self.responses.read_from(&mut self.stream)?;
+        self.closed = server_closes(&response.2);
+        Ok(response)
     }
+}
+
+/// Whether the server closes the connection after a response with these
+/// headers: it announced `Connection: close`, or it sent no `Content-Length`
+/// and framed the body by closing.
+fn server_closes(headers: &[(String, String)]) -> bool {
+    let header = |name: &str| headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name));
+    header("content-length").is_none()
+        || header("connection").is_some_and(|(_, v)| v.eq_ignore_ascii_case("close"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn parse_one(raw: &str) -> io::Result<Request> {
-        read_request(&mut Cursor::new(raw)).map(|r| r.expect("expected a request, got EOF"))
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        parser
+            .poll_request()
+            .map(|r| r.expect("expected a complete request"))
+    }
+
+    /// How a byte stream ends after its last complete request.
+    #[derive(Debug, PartialEq)]
+    enum End {
+        /// Nothing left over: EOF here is a clean close.
+        Idle,
+        /// A request prefix is left over: more bytes are needed.
+        Partial,
+        /// A protocol error, by message.
+        Error(String),
+    }
+
+    /// The whole-buffer reference for [`RequestParser`]: given the complete
+    /// stream up front, it walks the head line by line, with none of the
+    /// incremental parser's buffering or resumable scan.
+    fn reference_parse(mut rest: &[u8]) -> (Vec<Request>, End) {
+        let mut requests = Vec::new();
+        while !rest.is_empty() {
+            match reference_one(rest) {
+                Ok(Some((request, len))) => {
+                    requests.push(request);
+                    rest = &rest[len..];
+                }
+                Ok(None) => return (requests, End::Partial),
+                Err(message) => return (requests, End::Error(message)),
+            }
+        }
+        (requests, End::Idle)
+    }
+
+    /// The first request of `raw` and its length; `None` when `raw` holds
+    /// only a prefix of one.
+    fn reference_one(raw: &[u8]) -> Result<Option<(Request, usize)>, String> {
+        let limit = format!("request head exceeds the {MAX_HEAD_BYTES} byte limit");
+        // The head runs through the first line after the request line that
+        // is empty or a bare `\r`.
+        let (mut head_len, mut first) = (0, true);
+        loop {
+            let Some(nl) = raw[head_len..].iter().position(|&b| b == b'\n') else {
+                return if raw.len() as u64 >= MAX_HEAD_BYTES {
+                    Err(limit)
+                } else {
+                    Ok(None)
+                };
+            };
+            let line = &raw[head_len..head_len + nl];
+            head_len += nl + 1;
+            if !first && matches!(line, b"" | b"\r") {
+                break;
+            }
+            first = false;
+        }
+        if head_len as u64 > MAX_HEAD_BYTES {
+            return Err(limit);
+        }
+        let head = std::str::from_utf8(&raw[..head_len])
+            .map_err(|_| "request head is not valid UTF-8".to_string())?;
+        let mut lines = head.lines();
+        let mut words = lines.next().unwrap_or("").split_whitespace();
+        let method = words.next().ok_or("empty request line")?;
+        let target = words.next().ok_or("request line missing path")?;
+        let (mut content_length, mut close, mut accept) = (0usize, false, "");
+        for line in lines.map(str::trim_end).take_while(|l| !l.is_empty()) {
+            let Some((name, value)) = line.split_once(':') else {
+                continue;
+            };
+            match name.trim().to_ascii_lowercase().as_str() {
+                "content-length" => {
+                    content_length = value
+                        .trim()
+                        .parse()
+                        .map_err(|_| format!("bad Content-Length {value:?}"))?
+                }
+                "connection" => close = value.trim().eq_ignore_ascii_case("close"),
+                "accept" => accept = value.trim(),
+                _ => {}
+            }
+        }
+        if content_length > MAX_BODY_BYTES {
+            return Err(format!(
+                "body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte limit"
+            ));
+        }
+        let Some(body) = raw.get(head_len..head_len + content_length) else {
+            return Ok(None);
+        };
+        let body = String::from_utf8(body.to_vec()).map_err(|_| "body is not valid UTF-8")?;
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        let request = Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: query.to_string(),
+            accept: accept.to_string(),
+            body,
+            close,
+        };
+        Ok(Some((request, head_len + content_length)))
+    }
+
+    /// Feed `fragments` to one [`RequestParser`], draining after each, up to
+    /// the first error.
+    fn incremental_parse<'a>(fragments: impl IntoIterator<Item = &'a [u8]>) -> (Vec<Request>, End) {
+        let mut parser = RequestParser::new();
+        let mut requests = Vec::new();
+        for fragment in fragments {
+            parser.feed(fragment);
+            loop {
+                match parser.poll_request() {
+                    Ok(Some(request)) => requests.push(request),
+                    Ok(None) => break,
+                    Err(e) => return (requests, End::Error(e.to_string())),
+                }
+            }
+        }
+        let end = if parser.is_idle() {
+            End::Idle
+        } else {
+            End::Partial
+        };
+        (requests, end)
+    }
+
+    /// Every request stream the parser tests use: well-formed, pipelined,
+    /// truncated, and each kind of protocol violation.
+    fn streams() -> Vec<Vec<u8>> {
+        let mut streams: Vec<Vec<u8>> = [
+            "POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\n\r\n{\"texts\":[]}",
+            "GET /healthz HTTP/1.1\r\n\r\n",
+            "GET /metrics HTTP/1.1\r\nConnection: Close\r\n\r\n",
+            "GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n",
+            "POST /p HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi",
+            "",
+            "POST /p HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n\r\n",
+            "POST /p HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n",
+            "POST /predict HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world",
+            "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+            "POST /p HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            "POST /p HTTP/1.1\r\nContent-Length: 2\r\n",
+            "GET /metrics?format=prometheus&trace=1 HTTP/1.1\r\n\r\n",
+            "GET /metrics HTTP/1.1\r\nAccept: text/plain\r\n\r\n",
+            "WHAT\r\n\r\n",
+        ]
+        .iter()
+        .map(|s| s.as_bytes().to_vec())
+        .collect();
+        let over = MAX_HEAD_BYTES as usize + 1024;
+        streams
+            .push(format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 2 << 20).into_bytes());
+        streams.push(format!("GET /healthz HTTP/1.1\r\nX-Junk: {}", "A".repeat(over)).into_bytes());
+        streams.push("G".repeat(over).into_bytes());
+        streams.push(
+            format!(
+                "GET / HTTP/1.1\r\n{}\r\n",
+                "X-H: v\r\n".repeat((MAX_HEAD_BYTES as usize / 8) + 10)
+            )
+            .into_bytes(),
+        );
+        streams.push(b"POST /p HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe".to_vec());
+        streams
     }
 
     #[test]
@@ -684,51 +806,61 @@ mod tests {
 
     #[test]
     fn eof_before_request_line_is_a_clean_close() {
-        assert!(read_request(&mut Cursor::new("")).unwrap().is_none());
+        let mut parser = RequestParser::new();
+        assert!(parser.poll_request().unwrap().is_none());
+        assert!(parser.is_idle());
     }
 
     #[test]
     fn two_requests_parse_back_to_back_from_one_stream() {
         // Keep-alive framing: Content-Length delimits the first body exactly,
-        // so the second request parses from the same reader.
+        // so the second request parses from the same buffer.
         let raw = "POST /p HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n\r\n";
-        let mut cursor = Cursor::new(raw);
-        let first = read_request(&mut cursor).unwrap().unwrap();
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        let first = parser.poll_request().unwrap().unwrap();
         assert_eq!(first.body, "hi");
-        let second = read_request(&mut cursor).unwrap().unwrap();
+        let second = parser.poll_request().unwrap().unwrap();
         assert_eq!(second.path, "/healthz");
-        assert!(read_request(&mut cursor).unwrap().is_none());
+        assert!(parser.poll_request().unwrap().is_none());
+        assert!(parser.is_idle());
     }
 
     #[test]
     fn rejects_oversized_and_truncated_bodies() {
         let huge = format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 2 << 20);
-        assert!(read_request(&mut Cursor::new(huge)).is_err());
-        let short = "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(read_request(&mut Cursor::new(short)).is_err());
+        assert!(parse_one(&huge).is_err());
         let bad_length = "POST /p HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
-        assert!(read_request(&mut Cursor::new(bad_length)).is_err());
-        // EOF mid-headers is an error, unlike EOF before the request line.
-        let mid_headers = "POST /p HTTP/1.1\r\nContent-Length: 2\r\n";
-        assert!(read_request(&mut Cursor::new(mid_headers)).is_err());
+        assert!(parse_one(bad_length).is_err());
+        // A short body or EOF mid-headers leaves a partial request: EOF there
+        // is a peer abort, unlike EOF on an idle parser.
+        for truncated in [
+            "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+            "POST /p HTTP/1.1\r\nContent-Length: 2\r\n",
+        ] {
+            let mut parser = RequestParser::new();
+            parser.feed(truncated.as_bytes());
+            assert!(parser.poll_request().unwrap().is_none(), "{truncated:?}");
+            assert!(!parser.is_idle(), "{truncated:?}");
+        }
     }
 
     #[test]
     fn rejects_unbounded_request_heads() {
         // A header stream that never ends (no newline) must error once the
-        // head budget is spent, not grow a String until OOM.
+        // head budget is spent, not grow a buffer until OOM.
         let endless = format!("GET /healthz HTTP/1.1\r\nX-Junk: {}", "A".repeat(64 << 10));
-        let err = read_request(&mut Cursor::new(endless)).unwrap_err();
+        let err = parse_one(&endless).unwrap_err();
         assert!(err.to_string().contains("byte limit"), "{err}");
         // Same budget applied to an endless request line.
         let endless_line = "G".repeat(64 << 10);
-        assert!(read_request(&mut Cursor::new(endless_line)).is_err());
+        assert!(parse_one(&endless_line).is_err());
         // Many small headers also spend the budget.
         let many = format!(
             "GET / HTTP/1.1\r\n{}\r\n",
             "X-H: v\r\n".repeat((MAX_HEAD_BYTES as usize / 8) + 10)
         );
-        assert!(read_request(&mut Cursor::new(many)).is_err());
+        assert!(parse_one(&many).is_err());
     }
 
     /// Drain every complete request currently parseable.
@@ -740,24 +872,50 @@ mod tests {
         out
     }
 
+    /// `RequestParser` against the whole-buffer reference (which took over
+    /// from the blocking parser this test is named for) on every stream,
+    /// whole, split in two at every point, and in seeded random fragments.
     #[test]
     fn incremental_parser_matches_blocking_parser() {
-        let raws = [
-            "POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\n\r\n{\"texts\":[]}",
-            "GET /healthz HTTP/1.1\r\n\r\n",
-            "GET /metrics HTTP/1.1\r\nConnection: Close\r\n\r\n",
-            "POST /p HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi",
-        ];
-        for raw in raws {
-            let blocking = parse_one(raw).unwrap();
-            let mut parser = RequestParser::new();
-            parser.feed(raw.as_bytes());
-            let incremental = parser.poll_request().unwrap().expect("complete request");
-            assert_eq!(incremental.method, blocking.method);
-            assert_eq!(incremental.path, blocking.path);
-            assert_eq!(incremental.body, blocking.body);
-            assert_eq!(incremental.close, blocking.close);
-            assert!(parser.is_idle(), "leftover bytes after {raw:?}");
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            // xorshift64: a fixed sequence, so every run checks the same splits.
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for raw in streams() {
+            let want = reference_parse(&raw);
+            let shown = String::from_utf8_lossy(&raw[..raw.len().min(60)]).into_owned();
+            assert_eq!(incremental_parse([&raw[..]]), want, "whole {shown:?}");
+            // Every split point costs a full parse, quadratic in the stream
+            // length; Miri interprets far too slowly for that on the
+            // head-limit streams, so under it the points are strided.
+            let stride = if cfg!(miri) { 61 } else { 1 };
+            for split in (0..=raw.len()).step_by(stride) {
+                let (a, b) = raw.split_at(split);
+                assert_eq!(
+                    incremental_parse([a, b]),
+                    want,
+                    "split at {split} of {shown:?}"
+                );
+            }
+            for round in 0..32 {
+                let max = 1 + next() as usize % 64;
+                let mut fragments = Vec::new();
+                let mut rest = &raw[..];
+                while !rest.is_empty() {
+                    let (a, b) = rest.split_at((1 + next() as usize % max).min(rest.len()));
+                    fragments.push(a);
+                    rest = b;
+                }
+                assert_eq!(
+                    incremental_parse(fragments),
+                    want,
+                    "round {round} of {shown:?}"
+                );
+            }
         }
     }
 
@@ -791,16 +949,19 @@ mod tests {
         assert!(parser.is_idle());
     }
 
+    /// The whole-buffer reference stands in for the blocking parser here too.
     #[test]
     fn incremental_parser_rejects_what_the_blocking_parser_rejects() {
         // Oversized Content-Length fails as soon as the head completes.
-        let mut parser = RequestParser::new();
-        parser.feed(format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 2 << 20).as_bytes());
-        assert!(parser.poll_request().is_err());
-
-        let mut parser = RequestParser::new();
-        parser.feed(b"POST /p HTTP/1.1\r\nContent-Length: nope\r\n\r\n");
-        assert!(parser.poll_request().is_err());
+        for raw in [
+            format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 2 << 20),
+            "POST /p HTTP/1.1\r\nContent-Length: nope\r\n\r\n".to_string(),
+        ] {
+            assert!(matches!(reference_parse(raw.as_bytes()).1, End::Error(_)));
+            let mut parser = RequestParser::new();
+            parser.feed(raw.as_bytes());
+            assert!(parser.poll_request().is_err());
+        }
 
         // An endless head errors once the budget is spent — even though no
         // terminator ever arrives.
@@ -881,38 +1042,58 @@ mod tests {
 
     #[test]
     fn read_response_parses_status_body_headers_and_close() {
-        let raw = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Trace-Id: abc\r\nConnection: keep-alive\r\n\r\n{}";
-        let response = read_response(&mut Cursor::new(raw)).unwrap();
+        let ok = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Trace-Id: abc\r\nConnection: keep-alive\r\n\r\n{}";
+        let bad = "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+        let parse = |raw: &str| {
+            let mut parser = ResponseParser::new();
+            parser.feed(raw.as_bytes());
+            parser.poll_response().unwrap().expect("complete response")
+        };
+        let (status, body, headers) = parse(ok);
         assert_eq!(
-            (
-                response.status,
-                response.body.as_str(),
-                response.server_closes
-            ),
+            (status, body.as_str(), server_closes(&headers)),
             (200, "{}", false)
         );
-        let trace = response
-            .headers
+        let trace = headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case("x-trace-id"));
         assert_eq!(trace.map(|(_, v)| v.as_str()), Some("abc"));
-        let raw = "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
-        let response = read_response(&mut Cursor::new(raw)).unwrap();
+        let (status, body, headers) = parse(bad);
         assert_eq!(
-            (
-                response.status,
-                response.body.as_str(),
-                response.server_closes
-            ),
+            (status, body.as_str(), server_closes(&headers)),
             (400, "", true)
         );
         // No Content-Length: EOF frames the body and implies close.
-        let raw = "HTTP/1.1 200 OK\r\n\r\nrest";
-        let response = read_response(&mut Cursor::new(raw)).unwrap();
-        assert_eq!(
-            (response.body.as_str(), response.server_closes),
-            ("rest", true)
-        );
+        let mut parser = ResponseParser::new();
+        parser.feed(b"HTTP/1.1 200 OK\r\n\r\nrest");
+        assert!(parser.poll_response().unwrap().is_none());
+        let (_, body, headers) = parser.finish().unwrap().expect("framed by EOF");
+        assert_eq!((body.as_str(), server_closes(&headers)), ("rest", true));
+        assert!(parser.finish().unwrap().is_none());
+        // EOF inside a Content-Length body is an error.
+        let mut parser = ResponseParser::new();
+        parser.feed(&ok.as_bytes()[..ok.len() - 1]);
+        assert!(parser.finish().is_err());
+
+        // Three pipelined responses in one feed come out in order.
+        let stream = format!("{ok}{bad}{ok}");
+        let mut parser = ResponseParser::new();
+        parser.feed(stream.as_bytes());
+        let want: Vec<FullResponse> =
+            std::iter::from_fn(|| parser.poll_response().unwrap()).collect();
+        let statuses: Vec<u16> = want.iter().map(|r| r.0).collect();
+        assert_eq!(statuses, [200, 400, 200]);
+        assert!(parser.finish().unwrap().is_none());
+        // A split at every byte yields the same three.
+        for split in 0..=stream.len() {
+            let mut parser = ResponseParser::new();
+            let mut got = Vec::new();
+            for part in [&stream.as_bytes()[..split], &stream.as_bytes()[split..]] {
+                parser.feed(part);
+                got.extend(std::iter::from_fn(|| parser.poll_response().unwrap()));
+            }
+            assert_eq!(got, want, "split at {split}");
+        }
     }
 
     #[test]

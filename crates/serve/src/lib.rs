@@ -91,10 +91,11 @@
 //!   `Content-Length` framing on both sides, `Connection: close` honored,
 //!   per-connection request cap and idle timeout
 //!   ([`KeepAliveConfig`]). [`RequestParser`](http::RequestParser) is the
-//!   incremental server-side parser the pollers feed byte fragments into;
-//!   [`http_request`] is the one-shot blocking client; [`HttpClient`] holds
-//!   one connection open across any number of requests (what the
-//!   `serve_throughput` bench and the CI smoke drive).
+//!   incremental server-side parser the pollers feed byte fragments into,
+//!   and [`ResponseParser`](http::ResponseParser) its client-side twin;
+//!   [`HttpClient`] reads through it and holds one connection open across
+//!   any number of requests (what the `serve_throughput` bench and the CI
+//!   smoke drive); [`http_request`] is a one-shot wrapper over it.
 //! * **[`metrics`]** — request counters, per-kind queue sections (depth,
 //!   batch-size histogram, queue-wait and scoring-time percentiles),
 //!   `keepalive_reuses_total`, the connection section (open gauge,

@@ -4,7 +4,7 @@
 //! Fitting a model (vectoriser + classifier, or a transformer fine-tune) is
 //! seconds-to-minutes of work; serving a request against a fitted model is
 //! microseconds-to-milliseconds. The registry pays the fitting cost up front —
-//! one crossbeam scoped thread per requested [`BaselineKind`], each classical
+//! one scoped thread per requested [`BaselineKind`], each classical
 //! fit itself sharded across its slice of the machine's
 //! [`ThreadBudget`](holistix::ml::ThreadBudget) — and hands out
 //! `Arc<dyn Scorer>` clones to the batch queues and the `/explain` handlers.

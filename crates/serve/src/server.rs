@@ -326,14 +326,14 @@ fn serve_loop(
     let job_receiver = &job_receiver;
     let poller_shared = &poller_shared;
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for queue in queues {
-            scope.spawn(move |_| queue.run(registry, metrics));
+            scope.spawn(move || queue.run(registry, metrics));
         }
 
         for _ in 0..n_handlers {
             let batcher = batcher.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let context = RequestContext {
                     registry,
                     batcher,
@@ -352,7 +352,7 @@ fn serve_loop(
         for (index, reader) in readers.into_iter().enumerate() {
             let job_sender = job_sender.clone();
             let shared = Arc::clone(&poller_shared[index]);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 Poller::new(
                     index, reader, shared, listener, job_sender, running, keep_alive, metrics,
                     admission,
@@ -363,8 +363,7 @@ fn serve_loop(
         // The pollers hold clones; when the last poller exits, the job
         // channel disconnects and the handlers drain out.
         drop(job_sender);
-    })
-    .expect("server thread scope failed");
+    });
 }
 
 /// Pop parsed requests, run the route, push the response back to the owning

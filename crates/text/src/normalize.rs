@@ -5,10 +5,8 @@
 //! centralises those rules so the corpus generator, the vectoriser and the LIME
 //! perturbation sampler all agree on what the normalised form of a post is.
 
-use serde::{Deserialize, Serialize};
-
 /// Options controlling [`normalize`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NormalizeOptions {
     /// Lower-case the text.
     pub lowercase: bool,

@@ -8,7 +8,6 @@
 //! characters fall back to `<unk>`.
 
 use crate::vocab::{CLS_TOKEN, MASK_TOKEN, PAD_TOKEN, SEP_TOKEN, UNK_TOKEN};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Builds a subword vocabulary from word frequency counts.
@@ -120,7 +119,7 @@ impl SubwordVocabBuilder {
 }
 
 /// Greedy longest-match WordPiece tokeniser.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubwordTokenizer {
     vocab: Vec<String>,
     ids: HashMap<String, usize>,

@@ -6,10 +6,8 @@
 //! posts the paper works with), and reports byte offsets so explanation spans can be
 //! mapped back onto the original post.
 
-use serde::{Deserialize, Serialize};
-
 /// The coarse class of a token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
     /// Alphabetic / alphanumeric word (possibly with internal `'` or `-`).
     Word,
@@ -20,7 +18,7 @@ pub enum TokenKind {
 }
 
 /// A token together with its byte span in the source text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// The token text, exactly as it appears in the source.
     pub text: String,

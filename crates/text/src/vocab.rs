@@ -6,7 +6,6 @@
 //! into contiguous ids (sorted by descending frequency, ties broken lexicographically
 //! so builds are reproducible across runs and platforms).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Reserved id for the unknown token in vocabularies built with `with_unk`.
@@ -188,7 +187,7 @@ impl VocabularyBuilder {
 }
 
 /// A frozen token → id mapping with term/document frequencies.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     terms: Vec<String>,
     ids: HashMap<String, usize>,

@@ -1,9 +1,7 @@
 //! Architectural configuration for the transformer analogues.
 
-use serde::{Deserialize, Serialize};
-
 /// The attention pattern a model uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttentionKind {
     /// Full bidirectional self-attention (BERT family, Flan-T5 encoder).
     Bidirectional,
@@ -15,7 +13,7 @@ pub enum AttentionKind {
 }
 
 /// How the sequence representation is pooled into a single vector for classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pooling {
     /// Use the representation of the leading `<cls>` token (BERT family).
     Cls,
@@ -26,7 +24,7 @@ pub enum Pooling {
 }
 
 /// The named baselines of Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// BERT analogue.
     Bert,
@@ -67,7 +65,7 @@ impl ModelKind {
 }
 
 /// Architecture hyper-parameters of one transformer classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Hidden (embedding) dimension.
     pub hidden_dim: usize,

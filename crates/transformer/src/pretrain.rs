@@ -20,10 +20,9 @@
 use crate::model::TransformerClassifier;
 use holistix_linalg::Rng64;
 use holistix_tensor::{clip_gradients, Adam, Graph, Optimizer};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the masked-LM pre-initialisation stage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PretrainConfig {
     /// Number of passes over the unlabeled corpus.
     pub epochs: usize,
@@ -73,7 +72,7 @@ impl PretrainConfig {
 }
 
 /// Summary statistics of a pre-initialisation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PretrainSummary {
     /// Mean masked-LM loss of the first epoch.
     pub first_epoch_loss: f64,

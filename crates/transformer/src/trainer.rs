@@ -12,10 +12,9 @@ use crate::pretrain::{pretrain_masked_lm, PretrainConfig, PretrainSummary};
 use holistix_linalg::Rng64;
 use holistix_tensor::{clip_gradients, Adam, Graph, Optimizer};
 use holistix_text::SubwordVocabBuilder;
-use serde::{Deserialize, Serialize};
 
 /// Fine-tuning hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FineTuneConfig {
     /// Adam learning rate.
     pub learning_rate: f64,
@@ -48,7 +47,7 @@ impl Default for FineTuneConfig {
 }
 
 /// What happened during training — useful for the experiment logs and the benches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSummary {
     /// Mean training loss per epoch, in epoch order.
     pub epoch_losses: Vec<f64>,

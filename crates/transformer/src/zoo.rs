@@ -18,10 +18,9 @@
 use crate::config::{ModelConfig, ModelKind};
 use crate::pretrain::PretrainConfig;
 use crate::trainer::{FineTuneConfig, Trainer};
-use serde::{Deserialize, Serialize};
 
 /// A named, ready-to-train recipe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FineTuneRecipe {
     /// Which baseline this is.
     pub kind: ModelKind,

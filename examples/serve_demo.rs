@@ -440,10 +440,10 @@ fn main() {
     let pool: Vec<String> = corpus.texts().iter().map(|t| t.to_string()).collect();
 
     println!("driving {CLIENTS} keep-alive clients × {REQUESTS_PER_CLIENT} requests…");
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for client_id in 0..CLIENTS {
             let pool = &pool;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut client = match HttpClient::connect(addr) {
                     Ok(client) => client,
                     Err(e) => fail(&format!("client {client_id} connect failed: {e}")),
@@ -468,8 +468,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("load generator scope failed");
+    });
     println!(
         "keep-alive reuses: {}",
         server.metrics().keepalive_reuses_total()

@@ -124,11 +124,11 @@ fn full_queue_rejects_with_retry_after_while_other_kind_serves() {
     let addr = server.addr();
     let metrics = server.metrics();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Fill the gated queue to exactly its cap: 3 single-text requests,
         // each blocking on a reply that cannot come until the gate opens.
         for i in 0..3 {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let (status, body) = http_request(
                     addr,
                     "POST",
@@ -258,8 +258,7 @@ fn full_queue_rejects_with_retry_after_while_other_kind_serves() {
         // Open the gate: every admitted request completes (asserted in the
         // client threads) and the backlog drains to zero.
         release.store(true, Ordering::SeqCst);
-    })
-    .expect("admission scope failed");
+    });
 
     wait_until("the BERT queue to drain", || {
         metrics.queue("BERT", "transformer").depth() == 0
@@ -364,10 +363,10 @@ fn intake_valve_pauses_reads_until_the_backlog_drains() {
     let addr = server.addr();
     let metrics = server.metrics();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Two admitted-and-gated jobs push the aggregate depth to the limit.
         for _ in 0..2 {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let (status, body) =
                     http_request(addr, "POST", "/predict", Some(r#"{"text":"hold"}"#))
                         .expect("gated predict");
@@ -384,7 +383,7 @@ fn intake_valve_pauses_reads_until_the_backlog_drains() {
         // A client arriving now connects (kernel backlog) but its request
         // is not read, so it cannot complete while the valve is closed.
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             let (status, body) =
                 http_request(addr, "GET", "/healthz", None).expect("post-drain healthz");
             assert_eq!(status, 200, "{body}");
@@ -404,8 +403,7 @@ fn intake_valve_pauses_reads_until_the_backlog_drains() {
         done_rx
             .recv_timeout(Duration::from_secs(20))
             .expect("valve never reopened");
-    })
-    .expect("valve scope failed");
+    });
 
     assert!(metrics.admission().intake_closures_total() >= 1);
     wait_until("the valve to reopen", || {

@@ -1,18 +1,21 @@
 //! Connection-layer integration tests for the nonblocking multiplexer: raw
 //! TCP clients that exercise exactly the cases a blocking-read server never
 //! sees — two requests in one segment (pipelining), one byte per segment
-//! (incremental framing), and hostile framing (oversized heads, garbage
-//! request lines) that must draw a `400` without taking the poller down.
+//! (incremental framing), hostile framing (oversized heads, garbage request
+//! lines) that must draw a `400` without taking the poller down, and the
+//! keep-alive client's round-trip latency.
 
 use holistix::{BaselineKind, Scorer, SpeedProfile};
 use holistix_corpus::json::JsonValue;
+use holistix_serve::http::ResponseParser;
 use holistix_serve::{
-    http_request, serve, BatchConfig, ModelRegistry, RegistryConfig, ServeConfig, ServerHandle,
+    http_request, serve, BatchConfig, HttpClient, ModelRegistry, RegistryConfig, ServeConfig,
+    ServerHandle,
 };
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start_server() -> (ServerHandle, Arc<dyn Scorer>) {
     let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
@@ -33,32 +36,6 @@ fn start_server() -> (ServerHandle, Arc<dyn Scorer>) {
     };
     let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
     (server, model)
-}
-
-/// Read exactly one `Content-Length`-framed response off the wire.
-fn read_response(reader: &mut BufReader<&TcpStream>) -> (u16, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"))
-        .parse()
-        .expect("numeric status");
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).expect("header line");
-        if header == "\r\n" || header == "\n" || header.is_empty() {
-            break;
-        }
-        if let Some(rest) = header.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = rest.trim().parse().expect("content-length value");
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("response body");
-    (status, String::from_utf8(body).expect("UTF-8 body"))
 }
 
 fn predict_request(text: &str) -> String {
@@ -101,9 +78,9 @@ fn two_requests_in_one_write_answer_in_order_bit_identically() {
     let stream = TcpStream::connect(addr).expect("connect");
     let pipelined = format!("{}{}", predict_request(text_a), predict_request(text_b));
     (&stream).write_all(pipelined.as_bytes()).expect("write");
-    let mut reader = BufReader::new(&stream);
-    let (status_a, got_a) = read_response(&mut reader);
-    let (status_b, got_b) = read_response(&mut reader);
+    let mut responses = ResponseParser::new();
+    let (status_a, got_a, _) = responses.read_from(&mut &stream).expect("first response");
+    let (status_b, got_b, _) = responses.read_from(&mut &stream).expect("second response");
     assert_eq!(status_a, 200, "{got_a}");
     assert_eq!(status_b, 200, "{got_b}");
     assert_eq!(got_a, want_a, "first pipelined answer diverged");
@@ -136,8 +113,9 @@ fn one_byte_at_a_time_request_parses_over_tcp() {
         // fragmentation from the server.
         std::thread::sleep(Duration::from_micros(200));
     }
-    let mut reader = BufReader::new(&stream);
-    let (status, body) = read_response(&mut reader);
+    let (status, body, _) = ResponseParser::new()
+        .read_from(&mut &stream)
+        .expect("response");
     assert_eq!(status, 200, "{body}");
     let document = JsonValue::parse(&body).expect("predict response is JSON");
     let results = document.get("results").unwrap().as_array().unwrap();
@@ -156,7 +134,9 @@ fn oversized_and_malformed_requests_get_400_without_killing_the_poller() {
     // Garbage request line.
     let stream = TcpStream::connect(addr).expect("connect");
     (&stream).write_all(b"WHAT\r\n\r\n").expect("write");
-    let (status, body) = read_response(&mut BufReader::new(&stream));
+    let (status, body, _) = ResponseParser::new()
+        .read_from(&mut &stream)
+        .expect("response");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("malformed request"), "{body}");
     drop(stream);
@@ -165,7 +145,9 @@ fn oversized_and_malformed_requests_get_400_without_killing_the_poller() {
     let stream = TcpStream::connect(addr).expect("connect");
     let endless_head = vec![b'a'; 20 << 10];
     (&stream).write_all(&endless_head).expect("write");
-    let (status, body) = read_response(&mut BufReader::new(&stream));
+    let (status, body, _) = ResponseParser::new()
+        .read_from(&mut &stream)
+        .expect("response");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("head exceeds"), "{body}");
     drop(stream);
@@ -178,7 +160,9 @@ fn oversized_and_malformed_requests_get_400_without_killing_the_poller() {
         8 << 20
     );
     (&stream).write_all(huge.as_bytes()).expect("write");
-    let (status, body) = read_response(&mut BufReader::new(&stream));
+    let (status, body, _) = ResponseParser::new()
+        .read_from(&mut &stream)
+        .expect("response");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("exceeds"), "{body}");
     drop(stream);
@@ -198,5 +182,47 @@ fn oversized_and_malformed_requests_get_400_without_killing_the_poller() {
         .as_f64()
         .unwrap();
     assert!(errors >= 3.0, "expected ≥3 recorded errors, got {errors}");
+    server.shutdown();
+}
+
+/// The client-latency bar: `HttpClient` sends each request in one write on a
+/// `TCP_NODELAY` socket, so a sequential keep-alive round trip costs the
+/// server's work plus loopback. Written in pieces without `TCP_NODELAY`, a
+/// request's later segments wait for the ACK of its first, which the server
+/// delays by ~40 ms.
+#[test]
+fn keep_alive_round_trips_through_http_client_do_not_stall() {
+    let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
+        kinds: vec![BaselineKind::LogisticRegression],
+        profile: SpeedProfile::Tiny,
+        training_posts: 120,
+        seed: 29,
+    });
+    let config = ServeConfig {
+        batch: BatchConfig {
+            max_batch: 8,
+            max_wait: Duration::ZERO,
+        },
+        ..ServeConfig::default()
+    };
+    let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let body = format!(
+        "{{\"text\":{}}}",
+        holistix::corpus::json::json_escape("i feel so alone lately")
+    );
+    const ROUND_TRIPS: u32 = 100;
+    let started = Instant::now();
+    for _ in 0..ROUND_TRIPS {
+        let (status, response) = client
+            .request("POST", "/predict", Some(&body))
+            .expect("predict");
+        assert_eq!(status, 200, "{response}");
+    }
+    let mean = started.elapsed() / ROUND_TRIPS;
+    assert!(
+        mean < Duration::from_millis(10),
+        "mean keep-alive round trip {mean:?}: the client is stalling"
+    );
     server.shutdown();
 }

@@ -4,11 +4,12 @@
 
 use holistix::{BaselineKind, SpeedProfile};
 use holistix_corpus::json::JsonValue;
+use holistix_serve::http::ResponseParser;
 use holistix_serve::{
     build_info, serve, validate_exposition, BatchConfig, HttpClient, ModelRegistry, RegistryConfig,
     ServeConfig, ServerHandle,
 };
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -27,44 +28,6 @@ fn start_server() -> ServerHandle {
         ..ServeConfig::default()
     };
     serve("127.0.0.1:0", registry, config).expect("bind loopback")
-}
-
-/// Read one `Content-Length`-framed response plus its headers off a raw
-/// socket (the shared `HttpClient` reorders nothing, but pipelining tests
-/// need to see each response's headers in arrival order).
-fn read_response(reader: &mut BufReader<&TcpStream>) -> (u16, Vec<(String, String)>, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"))
-        .parse()
-        .expect("numeric status");
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line == "\r\n" || line == "\n" || line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().expect("content-length value");
-            }
-            headers.push((name, value));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("response body");
-    (
-        status,
-        headers,
-        String::from_utf8(body).expect("UTF-8 body"),
-    )
 }
 
 fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -106,9 +69,11 @@ fn pipelined_requests_get_distinct_trace_ids() {
         predict_request("my job exhausts me completely", "")
     );
     (&stream).write_all(pipelined.as_bytes()).expect("write");
-    let mut reader = BufReader::new(&stream);
-    let (status_a, headers_a, body_a) = read_response(&mut reader);
-    let (status_b, headers_b, body_b) = read_response(&mut reader);
+    // Raw socket plus parser: each pipelined response's headers, in arrival
+    // order.
+    let mut responses = ResponseParser::new();
+    let (status_a, body_a, headers_a) = responses.read_from(&mut &stream).expect("first response");
+    let (status_b, body_b, headers_b) = responses.read_from(&mut &stream).expect("second response");
     assert_eq!(status_a, 200, "{body_a}");
     assert_eq!(status_b, 200, "{body_b}");
     let id_a = header(&headers_a, "x-trace-id").expect("first X-Trace-Id");

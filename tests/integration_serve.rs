@@ -99,11 +99,11 @@ fn concurrent_requests_batch_together_and_stay_bit_identical() {
     let mismatches = Arc::new(AtomicUsize::new(0));
     for _round in 0..5 {
         let barrier = Arc::new(Barrier::new(texts.len()));
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (text, want) in texts.iter().zip(&expected) {
                 let barrier = Arc::clone(&barrier);
                 let mismatches = Arc::clone(&mismatches);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     barrier.wait();
                     let got = predict_one(addr, text);
                     assert_eq!(got.len(), want.len());
@@ -114,8 +114,7 @@ fn concurrent_requests_batch_together_and_stay_bit_identical() {
                     }
                 });
             }
-        })
-        .expect("client scope failed");
+        });
         if max_batch_from_metrics(addr) >= 2 {
             break;
         }
@@ -362,9 +361,9 @@ fn classical_predicts_complete_while_slow_scorer_batch_is_in_flight() {
     let addr = server.addr();
 
     let slow_done = Arc::new(AtomicBool::new(false));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let slow_done_flag = Arc::clone(&slow_done);
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             let (status, body) = http_request(
                 addr,
                 "POST",
@@ -410,8 +409,7 @@ fn classical_predicts_complete_while_slow_scorer_batch_is_in_flight() {
         assert!(queues.get("LR").is_some(), "no LR queue section");
 
         release.store(true, Ordering::SeqCst);
-    })
-    .expect("isolation scope failed");
+    });
 
     assert!(
         slow_done.load(Ordering::SeqCst),
