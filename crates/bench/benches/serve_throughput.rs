@@ -259,7 +259,7 @@ fn real_backend_sweep() -> JsonValue {
         scope.spawn(move || drive_model(addr, pool, "MentalBERT", CLIENTS / 2, requests));
         scope.spawn(move || drive_model(addr, pool, "LR", CLIENTS / 2, requests));
     });
-    let snapshot = server.metrics().snapshot();
+    let snapshot = server.metrics().snapshot(None);
     let queues = snapshot.get("queues").unwrap();
     let wait_p99 = |kind: &str| {
         queues
@@ -329,7 +329,7 @@ fn real_backend_sweep() -> JsonValue {
     });
     let shed_total = server
         .metrics()
-        .snapshot()
+        .snapshot(None)
         .get("admission")
         .unwrap()
         .get("shed")
@@ -381,7 +381,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         let elapsed = drive(server.addr(), &pool);
         let metrics = server.metrics();
         let reuses = metrics.keepalive_reuses_total();
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         let batches = snapshot.get("batches").unwrap();
         let batch_count = batches.get("count").unwrap().as_f64().unwrap();
         let scored = snapshot.get("texts_scored").unwrap().as_f64().unwrap();

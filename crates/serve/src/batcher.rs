@@ -243,7 +243,7 @@ impl BatchQueue {
     /// handle is dropped. The scorer is resolved once per batch from the
     /// shared registry, so a `/reload` swap lands between batches: an
     /// assembled batch always finishes on the scorer it started with.
-    pub(crate) fn run(self, registry: &SharedRegistry, serve_metrics: &ServeMetrics) {
+    pub(crate) fn run(self, registry: &SharedRegistry) {
         let max_batch = self.config.max_batch.max(1);
         while let Ok(first) = self.receiver.recv() {
             let deadline = Instant::now() + self.config.max_wait;
@@ -258,14 +258,14 @@ impl BatchQueue {
                     Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            self.score_batch(&jobs, registry, serve_metrics);
+            self.score_batch(&jobs, registry);
         }
     }
 
     /// Score one assembled batch with this queue's scorer (one batched
     /// `probabilities` call) and reply to every job, carrying the batch's
     /// drain and score instants so each waiting worker can stamp its trace.
-    fn score_batch(&self, jobs: &[Job], registry: &SharedRegistry, serve_metrics: &ServeMetrics) {
+    fn score_batch(&self, jobs: &[Job], registry: &SharedRegistry) {
         let drained = Instant::now();
         let (rows, scored) = match registry.current().get(self.kind) {
             Some(scorer) => {
@@ -277,7 +277,6 @@ impl BatchQueue {
                     .collect();
                 let score_us = scored.duration_since(drained).as_micros() as u64;
                 self.metrics.record_batch(jobs.len(), &waits, score_us);
-                serve_metrics.record_batch(jobs.len());
                 (rows, scored)
             }
             // The queue exists because the startup registry had this kind, and
@@ -371,7 +370,7 @@ mod tests {
         let (handle, queues) = build_queues(registry, base, metrics, usize::MAX);
         std::thread::scope(|scope| {
             for queue in queues {
-                scope.spawn(move || queue.run(registry, metrics));
+                scope.spawn(move || queue.run(registry));
             }
             body(&handle);
             drop(handle); // lets every drain loop exit
@@ -409,8 +408,7 @@ mod tests {
         });
 
         // All three jobs were enqueued before any reply was awaited, so they
-        // were scored as one batch — visible globally and in the LR queue.
-        assert_eq!(metrics.max_batch_size(), 3);
+        // were scored as one batch — visible in the LR queue.
         let lr_queue = metrics.queue("LR", "classical");
         assert_eq!(lr_queue.max_batch_size(), 3);
         assert_eq!(lr_queue.depth(), 0);
@@ -430,9 +428,10 @@ mod tests {
             assert!(err.to_string().contains("not loaded"));
         });
         // Nothing was scored, so nothing shows up as a batch.
-        assert_eq!(metrics.max_batch_size(), 0);
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         assert_eq!(snapshot.get("texts_scored").unwrap().as_f64(), Some(0.0));
+        let batches = snapshot.get("batches").unwrap();
+        assert_eq!(batches.get("count").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]

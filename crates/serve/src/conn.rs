@@ -98,7 +98,9 @@ pub(crate) struct Connection {
 }
 
 impl Connection {
-    /// Adopt an accepted stream: switch it nonblocking and start the session.
+    /// Adopt an accepted stream: switch it nonblocking, disable Nagle's
+    /// algorithm so a response flushed while an earlier one is still unACKed
+    /// is not held for the client's delayed ACK, and start the session.
     pub(crate) fn new(
         stream: TcpStream,
         generation: u64,
@@ -106,6 +108,7 @@ impl Connection {
         bucket: Option<TokenBucket>,
     ) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
         Ok(Self {
             stream,
             generation,
@@ -239,7 +242,7 @@ impl Connection {
                             metrics.record_error();
                             metrics.record_shed(endpoint, ShedReason::RateLimited);
                             let mut trace = metrics.obs().begin_trace(now);
-                            trace.endpoint = endpoint.name();
+                            trace.endpoint = endpoint;
                             trace.stamp_at(TraceStamp::ResponseQueued, Instant::now());
                             self.complete(
                                 seq,

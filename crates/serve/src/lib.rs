@@ -105,7 +105,7 @@
 //!   percentiles — served by `GET /metrics` as JSON *and* Prometheus text.
 //! * **[`obs`]** — the observability layer: lock-free log2-bucketed
 //!   histograms, per-request traces, the slow-trace ring, and the Prometheus
-//!   exposition helpers. See **Observability** below.
+//!   exposition validator. See **Observability** below.
 //! * **[`admission`]** — the overload-protection layer: per-kind queue-depth
 //!   caps, a per-connection token-bucket rate limiter, the global intake
 //!   valve, and graceful degradation (`/explain` sheds first). See
@@ -218,28 +218,10 @@
 //! nothing).
 //!
 //! **Prometheus naming** (`/metrics?format=prometheus` or
-//! `Accept: text/plain`):
-//!
-//! | Prometheus family                        | JSON counterpart |
-//! |------------------------------------------|------------------|
-//! | `holistix_build_info{version,git}`       | `/healthz` `build` section |
-//! | `holistix_uptime_seconds`                | `uptime_s` |
-//! | `holistix_requests_total{endpoint}`      | `requests.<endpoint>` |
-//! | `holistix_error_responses_total`         | `requests.errors` |
-//! | `holistix_keepalive_reuses_total`        | `keepalive_reuses_total` |
-//! | `holistix_texts_scored_total`            | `texts_scored` |
-//! | `holistix_reloads_total`                 | `registry.reloads_total` |
-//! | `holistix_connections_*`, `holistix_poll_wakeups_total`, `holistix_pipelined_requests_total`, `holistix_idle_timeout_evictions_total` | `connections` section |
-//! | `holistix_os_threads`                    | `threads.os_threads` |
-//! | `holistix_batch_size` (histogram)        | `batches` |
-//! | `holistix_request_latency_us` (histogram)| `latency_us` |
-//! | `holistix_queue_depth{kind}`, `holistix_queue_texts_scored_total{kind}`, `holistix_queue_batch_size{kind}`, `holistix_queue_wait_us{kind}`, `holistix_queue_score_us{kind}` | `queues.<kind>` |
-//! | `holistix_stage_duration_us{endpoint,stage}` | `stages` section |
-//! | `holistix_registry_*`                    | `registry` section |
-//! | `holistix_shed_total{endpoint,reason}`   | `admission.shed` |
-//! | `holistix_queue_depth_aggregate`         | `admission.aggregate_depth` |
-//! | `holistix_intake_closed`, `holistix_intake_closures_total` | `admission.intake_*` |
-//! | `holistix_admission_*` (limit gauges)    | `admission.limits` |
+//! `Accept: text/plain`): one walk in [`metrics`] feeds both formats, and
+//! it pairs every JSON path with its Prometheus family and labels.
+//! `holistix_build_info{version,git}` mirrors `/healthz`'s `build` section
+//! and has no JSON counterpart.
 //!
 //! ## Threading invariants
 //!

@@ -2,26 +2,30 @@
 //! and latency histograms, per-endpoint stage histograms and the slow-trace
 //! ring — exposed as JSON *and* Prometheus text by `GET /metrics`.
 //!
-//! Everything on the recording path is lock-free: counters are atomics and
-//! every histogram is a [`LogHistogram`] (one atomic counter per log2
-//! bucket), so a `/metrics` scrape can never block a recording thread and
-//! recording threads never block each other. The only mutexes left guard
-//! registration-time state (the queue list, the thread plan), touched once
-//! per server start and once per scrape — never per request or per text.
+//! The module has three parts:
 //!
-//! Since the per-kind batch-queue redesign, every registered scorer owns a
-//! [`QueueMetrics`]: its live queue depth, its own batch-size histogram, and
-//! — since the observability layer — separate `queue_wait` (enqueue → batch
-//! drain) and `score` (one batched `probabilities` call) histograms, so a
-//! saturated transformer queue is visible *next to* a healthy classical one
-//! instead of smeared into one global number. The global batch histogram and
-//! `texts_scored` remain as cross-queue aggregates.
+//! * **Recorders.** [`ServeMetrics`] and its sections ([`QueueMetrics`] per
+//!   scorer kind, [`ConnectionMetrics`], [`AdmissionMetrics`], and the
+//!   stage histograms in [`Obs`]) are atomics and [`LogHistogram`]s (one
+//!   atomic counter per log2 bucket). A `/metrics` scrape can never block a
+//!   recording thread, and recording threads never block each other. The
+//!   only mutexes guard registration-time state (the queue list, the thread
+//!   plan, the admission limits), touched once per server start and once per
+//!   scrape — never per request or per text.
+//! * **One walk.** `ServeMetrics::visit` reads every value once and hands
+//!   it to a `MetricSink` with its place in the JSON document and, where it
+//!   has one, its Prometheus series. Cross-queue totals (`texts_scored`, the
+//!   `batches` histogram) are derived there from the per-queue readings, not
+//!   recorded twice.
+//! * **Two sinks.** [`ServeMetrics::snapshot`] builds the JSON document and
+//!   [`ServeMetrics::render_prometheus`] the text exposition from the same
+//!   walk, so the two formats agree by construction.
 //!
 //! End-to-end request latency is recorded when a response's **last byte
 //! reaches the socket** (trace finalization in the poller), not when the
 //! handler finishes — so a client that drains slowly shows up in the tail.
 
-use crate::obs::{append_histogram, HistogramSnapshot, LogHistogram, Obs, RequestTrace};
+use crate::obs::{HistogramSnapshot, LogHistogram, Obs, RequestTrace, STAGE_NAMES};
 use crate::registry::FitStats;
 use holistix_corpus::json::JsonValue;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,24 +75,23 @@ impl Endpoint {
         Endpoint::Other,
     ];
 
-    /// Stable index into the per-endpoint counter array — aligned with
-    /// [`crate::obs::ENDPOINT_NAMES`].
+    /// Stable index into the per-endpoint counter and histogram tables.
     pub fn index(self) -> usize {
-        match self {
-            Endpoint::Predict => 0,
-            Endpoint::Explain => 1,
-            Endpoint::Reload => 2,
-            Endpoint::Health => 3,
-            Endpoint::Metrics => 4,
-            Endpoint::DebugSlow => 5,
-            Endpoint::Other => 6,
-        }
+        self as usize
     }
 
     /// The endpoint's name: JSON key in the `requests` section and
     /// `endpoint` label value in Prometheus.
     pub fn name(self) -> &'static str {
-        crate::obs::ENDPOINT_NAMES[self.index()]
+        match self {
+            Endpoint::Predict => "predict",
+            Endpoint::Explain => "explain",
+            Endpoint::Reload => "reload",
+            Endpoint::Health => "healthz",
+            Endpoint::Metrics => "metrics",
+            Endpoint::DebugSlow => "debug_slow",
+            Endpoint::Other => "other",
+        }
     }
 
     /// Route a parsed request line to its endpoint. The single source of
@@ -131,11 +134,7 @@ impl ShedReason {
 
     /// Stable index into the per-reason counter array.
     pub fn index(self) -> usize {
-        match self {
-            ShedReason::QueueFull => 0,
-            ShedReason::RateLimited => 1,
-            ShedReason::Degraded => 2,
-        }
+        self as usize
     }
 
     /// The reason's name: JSON key and Prometheus `reason` label value.
@@ -244,100 +243,6 @@ impl AdmissionMetrics {
             rate_limit,
         });
     }
-
-    fn snapshot(&self, aggregate_depth: u64) -> JsonValue {
-        let shed_fields: Vec<(String, JsonValue)> = Endpoint::ALL
-            .iter()
-            .map(|&endpoint| {
-                let reasons: Vec<(&str, JsonValue)> = ShedReason::ALL
-                    .iter()
-                    .map(|&reason| {
-                        (
-                            reason.name(),
-                            JsonValue::Number(self.shed_count(endpoint, reason) as f64),
-                        )
-                    })
-                    .collect();
-                (endpoint.name().to_string(), JsonValue::object(reasons))
-            })
-            .collect();
-        let mut fields = vec![
-            ("aggregate_depth", JsonValue::Number(aggregate_depth as f64)),
-            ("intake_closed", JsonValue::Bool(self.intake_closed())),
-            (
-                "intake_closures_total",
-                JsonValue::Number(self.intake_closures_total() as f64),
-            ),
-            ("shed_total", JsonValue::Number(self.shed_total() as f64)),
-            ("shed", JsonValue::Object(shed_fields)),
-        ];
-        if let Some(limits) = *self.limits.lock().unwrap() {
-            fields.push((
-                "limits",
-                JsonValue::object(vec![
-                    (
-                        "max_queue_depth",
-                        JsonValue::Number(limits.max_queue_depth as f64),
-                    ),
-                    (
-                        "global_intake_limit",
-                        JsonValue::Number(limits.global_intake_limit as f64),
-                    ),
-                    (
-                        "explain_shed_depth",
-                        JsonValue::Number(limits.explain_shed_depth as f64),
-                    ),
-                    (
-                        "rate_per_s",
-                        limits
-                            .rate_limit
-                            .map_or(JsonValue::Null, |(rate, _)| JsonValue::Number(rate)),
-                    ),
-                    (
-                        "burst",
-                        limits
-                            .rate_limit
-                            .map_or(JsonValue::Null, |(_, burst)| JsonValue::Number(burst)),
-                    ),
-                ]),
-            ));
-        }
-        JsonValue::object(fields)
-    }
-}
-
-/// A batch-size histogram over a lock-free [`LogHistogram`]. Real batches are
-/// small (≤ `max_batch`, default 32–64), so most sizes land in the exact
-/// sub-32 buckets; larger ones coalesce into log2 buckets. The exact maximum
-/// is tracked separately either way.
-#[derive(Debug, Default)]
-struct BatchSizes {
-    histogram: LogHistogram,
-}
-
-impl BatchSizes {
-    fn record(&self, size: usize) {
-        self.histogram.record(size as u64);
-    }
-
-    fn max_size(&self) -> usize {
-        self.histogram.max() as usize
-    }
-
-    /// `{"count": n, "max_size": m, "histogram": {"<size>": count, …}}` —
-    /// keys are bucket upper bounds (exact sizes below 32).
-    fn snapshot_json(&self) -> JsonValue {
-        let snapshot = self.histogram.snapshot();
-        let fields: Vec<(String, JsonValue)> = snapshot
-            .nonzero_buckets()
-            .map(|(upper, count)| (upper.to_string(), JsonValue::Number(count as f64)))
-            .collect();
-        JsonValue::object(vec![
-            ("count", JsonValue::Number(snapshot.count() as f64)),
-            ("max_size", JsonValue::Number(snapshot.max() as f64)),
-            ("histogram", JsonValue::Object(fields)),
-        ])
-    }
 }
 
 /// Connection-layer statistics for the nonblocking multiplexer: the open
@@ -399,32 +304,6 @@ impl ConnectionMetrics {
     pub fn idle_evictions_total(&self) -> u64 {
         self.idle_evictions_total.load(Ordering::Relaxed)
     }
-
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("open", JsonValue::Number(self.open() as f64)),
-            (
-                "accepted_total",
-                JsonValue::Number(self.accepted_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "closed_total",
-                JsonValue::Number(self.closed_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "wakeups_total",
-                JsonValue::Number(self.wakeups_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "pipelined_requests_total",
-                JsonValue::Number(self.pipelined_total() as f64),
-            ),
-            (
-                "idle_timeout_evictions_total",
-                JsonValue::Number(self.idle_evictions_total() as f64),
-            ),
-        ])
-    }
 }
 
 /// Read this process's live OS thread count from `/proc/self/status`
@@ -453,7 +332,9 @@ pub struct QueueMetrics {
     /// `QueueMetrics::default()` (unit tests) gets a private one.
     aggregate: Arc<AtomicU64>,
     texts_scored: AtomicU64,
-    batches: BatchSizes,
+    /// Scored batch sizes. Real batches are small (≤ `max_batch`), so most
+    /// sizes land in the exact sub-32 buckets; the maximum is exact anyway.
+    batches: LogHistogram,
     /// Per-job enqueue → batch-drain wait (µs).
     queue_wait: LogHistogram,
     /// Per-batch `probabilities` call duration (µs).
@@ -523,7 +404,7 @@ impl QueueMetrics {
         self.depth.fetch_sub(size as u64, Ordering::Relaxed);
         self.aggregate.fetch_sub(size as u64, Ordering::Relaxed);
         self.texts_scored.fetch_add(size as u64, Ordering::Relaxed);
-        self.batches.record(size);
+        self.batches.record(size as u64);
         for &micros in job_wait_us {
             self.queue_wait.record(micros);
         }
@@ -537,21 +418,233 @@ impl QueueMetrics {
 
     /// The largest batch this queue has scored (0 before the first batch).
     pub fn max_batch_size(&self) -> usize {
-        self.batches.max_size()
+        self.batches.max() as usize
+    }
+}
+
+/// One value read by [`ServeMetrics::visit`], in the shape its sinks render.
+#[derive(Debug)]
+enum MetricValue {
+    /// A monotone count.
+    Counter(u64),
+    /// A level that can go up and down.
+    Gauge(f64),
+    /// A gauge that is JSON `true`/`false` and Prometheus `1`/`0`.
+    Flag(bool),
+    /// A gauge that may be unknown: JSON `null`, omitted from Prometheus.
+    Optional(Option<f64>),
+    /// A latency histogram (µs): JSON `{count, p50, p99, p999, max, mean}`.
+    Latency(HistogramSnapshot),
+    /// A size histogram: JSON `{count, max_size, histogram}`, keyed by bucket
+    /// upper bound (exact sizes below 32).
+    Sizes(HistogramSnapshot),
+}
+
+/// Where a value appears in the Prometheus exposition. The family's `# TYPE`
+/// follows from the values recorded under it: counter, gauge, or (for both
+/// histogram kinds) histogram.
+struct Series<'a> {
+    /// The family's `# HELP` text: its name, a space, and the help.
+    family: &'static str,
+    /// Label pairs, in exposition order.
+    labels: &'a [(&'static str, &'a str)],
+}
+
+/// `family`'s series with the given labels.
+fn series<'a>(family: &'static str, labels: &'a [(&'static str, &'a str)]) -> Option<Series<'a>> {
+    Some(Series { family, labels })
+}
+
+/// A consumer of the metric walk ([`ServeMetrics::visit`]).
+trait MetricSink {
+    /// One value. `path` is its place in the JSON document (empty when it is
+    /// not part of the JSON); `series` is its Prometheus series, if any.
+    fn record(&mut self, path: &[&str], series: Option<Series<'_>>, value: MetricValue);
+
+    /// An object at `path` that the JSON document carries even when nothing
+    /// is recorded under it.
+    fn section(&mut self, _path: &[&str]) {}
+}
+
+/// Builds the JSON document: keys in first-seen path order.
+#[derive(Default)]
+struct JsonSink {
+    root: Vec<(String, JsonValue)>,
+}
+
+impl JsonSink {
+    /// The object at `path`, creating any missing objects along the way.
+    fn object(&mut self, path: &[&str]) -> &mut Vec<(String, JsonValue)> {
+        let mut fields = &mut self.root;
+        for &key in path {
+            let index = match fields.iter().position(|(k, _)| k == key) {
+                Some(index) => index,
+                None => {
+                    fields.push((key.to_string(), JsonValue::Object(Vec::new())));
+                    fields.len() - 1
+                }
+            };
+            fields = match &mut fields[index].1 {
+                JsonValue::Object(inner) => inner,
+                _ => unreachable!("metric path {path:?} runs through a value"),
+            };
+        }
+        fields
+    }
+}
+
+impl MetricSink for JsonSink {
+    fn record(&mut self, path: &[&str], _series: Option<Series<'_>>, value: MetricValue) {
+        let Some((key, parent)) = path.split_last() else {
+            return;
+        };
+        let json = match value {
+            MetricValue::Counter(n) => JsonValue::Number(n as f64),
+            MetricValue::Gauge(x) => JsonValue::Number(x),
+            MetricValue::Flag(flag) => JsonValue::Bool(flag),
+            MetricValue::Optional(x) => x.map_or(JsonValue::Null, JsonValue::Number),
+            MetricValue::Latency(snapshot) => snapshot.to_json(),
+            MetricValue::Sizes(snapshot) => {
+                let buckets = snapshot
+                    .nonzero_buckets()
+                    .map(|(upper, count)| (upper.to_string(), JsonValue::Number(count as f64)));
+                JsonValue::object(vec![
+                    ("count", JsonValue::Number(snapshot.count() as f64)),
+                    ("max_size", JsonValue::Number(snapshot.max() as f64)),
+                    ("histogram", JsonValue::Object(buckets.collect())),
+                ])
+            }
+        };
+        self.object(parent).push((key.to_string(), json));
     }
 
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("depth", JsonValue::Number(self.depth() as f64)),
-            (
-                "texts_scored",
-                JsonValue::Number(self.texts_scored.load(Ordering::Relaxed) as f64),
-            ),
-            ("batches", self.batches.snapshot_json()),
-            ("queue_wait_us", self.queue_wait.snapshot().to_json()),
-            ("score_us", self.score.snapshot().to_json()),
-        ])
+    fn section(&mut self, path: &[&str]) {
+        self.object(path);
     }
+}
+
+/// Builds the Prometheus text exposition (version 0.0.4): one block per
+/// family in first-seen order, its `# HELP`/`# TYPE` header followed by every
+/// sample of that family. A family starts only with its first sample, so
+/// every emitted `# TYPE` line has samples — the invariant
+/// [`crate::obs::validate_exposition`] checks.
+#[derive(Default)]
+struct PrometheusSink {
+    families: Vec<(&'static str, String)>,
+}
+
+impl MetricSink for PrometheusSink {
+    fn record(&mut self, _path: &[&str], series: Option<Series<'_>>, value: MetricValue) {
+        let Some(Series { family, labels }) = series else {
+            return;
+        };
+        let name = family.split_once(' ').map_or(family, |(name, _)| name);
+        let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+        let labels = labels.join(",");
+        let (sep, braced) = match labels.as_str() {
+            "" => ("", String::new()),
+            _ => (",", format!("{{{labels}}}")),
+        };
+        let (kind, samples) = match value {
+            MetricValue::Counter(n) => ("counter", format!("{name}{braced} {n}\n")),
+            MetricValue::Gauge(x) | MetricValue::Optional(Some(x)) => {
+                ("gauge", format!("{name}{braced} {x}\n"))
+            }
+            MetricValue::Flag(flag) => ("gauge", format!("{name}{braced} {}\n", flag as u64)),
+            MetricValue::Latency(snapshot) | MetricValue::Sizes(snapshot)
+                if snapshot.count() > 0 =>
+            {
+                // Cumulative buckets ending at `+Inf`, then `_sum`/`_count`.
+                let mut samples = String::new();
+                let mut cumulative = 0u64;
+                for (upper, count) in snapshot.nonzero_buckets() {
+                    cumulative += count;
+                    samples.push_str(&format!(
+                        "{name}_bucket{{{labels}{sep}le=\"{upper}\"}} {cumulative}\n"
+                    ));
+                }
+                let (sum, count) = (snapshot.sum(), snapshot.count());
+                samples.push_str(&format!(
+                    "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {count}\n\
+                     {name}_sum{braced} {sum}\n{name}_count{braced} {count}\n"
+                ));
+                ("histogram", samples)
+            }
+            MetricValue::Optional(None) | MetricValue::Latency(_) | MetricValue::Sizes(_) => return,
+        };
+        match self.families.iter_mut().find(|(family, _)| *family == name) {
+            Some((_, block)) => block.push_str(&samples),
+            None => {
+                let header = format!("# HELP {family}\n# TYPE {name} {kind}\n");
+                self.families.push((name, header + &samples));
+            }
+        }
+    }
+}
+
+// The Prometheus families of `/metrics`, in walk order. Each is declared by
+// its `# HELP` text: the family name, a space, and the help.
+const BUILD_INFO: &str = "holistix_build_info Build metadata as labels; value is always 1.";
+const UPTIME: &str = "holistix_uptime_seconds Seconds since the server started.";
+const REQUESTS: &str = "holistix_requests_total Requests received, by endpoint.";
+const ERRORS: &str = "holistix_error_responses_total Responses with a 4xx/5xx status.";
+const REUSES: &str =
+    "holistix_keepalive_reuses_total Requests served on a reused keep-alive connection.";
+const TEXTS_SCORED: &str = "holistix_texts_scored_total Texts scored across all batch queues.";
+const BATCH_SIZE: &str =
+    "holistix_batch_size Scored micro-batch sizes (texts per batch), all queues.";
+const REQUEST_LATENCY: &str = "holistix_request_latency_us End-to-end request latency \
+    (parse done to last byte written), microseconds.";
+const STAGE_DURATION: &str =
+    "holistix_stage_duration_us Per-stage request latency in microseconds.";
+const CONNECTIONS_OPEN: &str = "holistix_connections_open Connections currently open.";
+const ACCEPTED: &str = "holistix_connections_accepted_total Connections accepted.";
+const CLOSED: &str = "holistix_connections_closed_total Connections closed.";
+const WAKEUPS: &str =
+    "holistix_poll_wakeups_total poll(2) returns reporting at least one ready fd.";
+const PIPELINED: &str =
+    "holistix_pipelined_requests_total Requests parsed while an earlier one was in flight.";
+const EVICTIONS: &str =
+    "holistix_idle_timeout_evictions_total Connections evicted by the idle-timeout wheel.";
+const AGGREGATE_DEPTH: &str =
+    "holistix_queue_depth_aggregate Jobs queued across every kind's batch queue.";
+const INTAKE_CLOSED: &str =
+    "holistix_intake_closed 1 while the global intake valve is closed (pollers not reading).";
+const INTAKE_CLOSURES: &str =
+    "holistix_intake_closures_total Open-to-closed transitions of the intake valve.";
+const SHED: &str = "holistix_shed_total Requests shed with 429, by endpoint and reason.";
+const DEPTH_LIMIT: &str =
+    "holistix_admission_queue_depth_limit Configured per-kind queue depth cap.";
+const INTAKE_LIMIT: &str =
+    "holistix_admission_intake_limit Aggregate depth at which the intake valve closes.";
+const EXPLAIN_LIMIT: &str =
+    "holistix_admission_explain_shed_depth Aggregate depth at which /explain sheds.";
+const RATE_PER_S: &str =
+    "holistix_admission_rate_per_s Per-connection token-bucket refill rate, tokens per second.";
+const BURST: &str = "holistix_admission_burst Per-connection token-bucket capacity, tokens.";
+const OS_THREADS: &str = "holistix_os_threads Live OS threads in this process.";
+const QUEUE_DEPTH: &str = "holistix_queue_depth Jobs waiting in (or being scored from) the queue.";
+const QUEUE_TEXTS_SCORED: &str = "holistix_queue_texts_scored_total Texts this queue has scored.";
+const QUEUE_BATCH_SIZE: &str = "holistix_queue_batch_size Scored batch sizes for this queue.";
+const QUEUE_WAIT: &str =
+    "holistix_queue_wait_us Per-job wait from enqueue to batch drain, microseconds.";
+const QUEUE_SCORE: &str = "holistix_queue_score_us Per-batch scoring call duration, microseconds.";
+const RELOADS: &str = "holistix_reloads_total Completed registry reloads.";
+const LAST_FIT: &str =
+    "holistix_registry_last_fit_us Duration of the registry's most recent fit, microseconds.";
+const FIT_SHARDS: &str = "holistix_registry_fit_shards Shards the most recent fit ran across.";
+const CORPUS_SIZE: &str =
+    "holistix_registry_corpus_size Posts in the corpus behind the serving registry.";
+
+/// One queue's values, read once per walk.
+struct QueueReading {
+    kind: String,
+    scorer_kind: String,
+    depth: u64,
+    texts_scored: u64,
+    batches: HistogramSnapshot,
+    queue_wait: HistogramSnapshot,
+    score: HistogramSnapshot,
 }
 
 /// Shared metrics sink. One instance per server, shared by pollers, handlers
@@ -563,22 +656,19 @@ pub struct ServeMetrics {
     /// Per-endpoint request counters, indexed by [`Endpoint::index`].
     requests: [AtomicU64; 7],
     error_responses: AtomicU64,
-    texts_scored: AtomicU64,
     /// Requests served on an already-used connection (the 2nd, 3rd, … request
     /// of a keep-alive session). Zero means every request paid a TCP setup.
     keepalive_reuses: AtomicU64,
     /// Completed registry reloads (a `/reload` fit + swap; startup not counted).
     /// The fit stats themselves are *not* mirrored here — the registry behind
     /// [`SharedRegistry`](crate::registry::SharedRegistry) is the single source
-    /// of truth and [`snapshot_with_fit`](Self::snapshot_with_fit) reads them
-    /// at snapshot time.
+    /// of truth and [`snapshot`](Self::snapshot) takes them at snapshot time.
     reloads_total: AtomicU64,
-    /// Cross-queue aggregate batch histogram.
-    batches: BatchSizes,
     /// End-to-end request latency (parse done → last byte written), recorded
     /// at trace finalization.
     request_latency: LogHistogram,
-    /// Per-kind queue sections, in registration order.
+    /// Per-kind queue sections, in registration order. Never shrinks, so the
+    /// cross-queue totals derived from it never go backwards.
     queues: Mutex<Vec<(String, String, Arc<QueueMetrics>)>>,
     /// Jobs queued across every kind, maintained by the [`QueueMetrics`]
     /// registered through [`queue`](Self::queue). Read by the intake valve
@@ -609,10 +699,8 @@ impl ServeMetrics {
             started: Instant::now(),
             requests: std::array::from_fn(|_| AtomicU64::new(0)),
             error_responses: AtomicU64::new(0),
-            texts_scored: AtomicU64::new(0),
             keepalive_reuses: AtomicU64::new(0),
             reloads_total: AtomicU64::new(0),
-            batches: BatchSizes::default(),
             request_latency: LogHistogram::new(),
             queues: Mutex::new(Vec::new()),
             aggregate_depth: Arc::new(AtomicU64::new(0)),
@@ -729,383 +817,228 @@ impl ServeMetrics {
         metrics
     }
 
-    /// Record one scored micro-batch of `size` texts (cross-queue aggregate;
-    /// the owning queue's [`QueueMetrics`] is recorded separately).
-    pub fn record_batch(&self, size: usize) {
-        if size == 0 {
-            return;
+    /// The full metrics document served by `GET /metrics`. `fit` is the
+    /// serving registry's fit stats, read from the live registry at snapshot
+    /// time so `/metrics` can never disagree with the models actually
+    /// serving; without it the `registry` section carries counters only.
+    pub fn snapshot(&self, fit: Option<&FitStats>) -> JsonValue {
+        let mut sink = JsonSink::default();
+        self.visit(fit, &mut sink);
+        JsonValue::Object(sink.root)
+    }
+
+    /// The same walk as [`snapshot`](Self::snapshot), in Prometheus text
+    /// exposition format: counters, gauges and cumulative-bucket histograms.
+    pub fn render_prometheus(&self, fit: Option<&FitStats>) -> String {
+        let mut sink = PrometheusSink::default();
+        self.visit(fit, &mut sink);
+        sink.families.into_iter().map(|(_, block)| block).collect()
+    }
+
+    /// Walk every metric once, in JSON document order, handing each value to
+    /// `sink` with its JSON path and Prometheus series. JSON-only entries
+    /// (`requests.total`, `admission.shed_total`, `threads.*`) carry no
+    /// series; the Prometheus-only `holistix_build_info` carries no path.
+    fn visit(&self, fit: Option<&FitStats>, sink: &mut impl MetricSink) {
+        use MetricValue::{Counter, Flag, Gauge, Latency, Optional, Sizes};
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+
+        let (version, git) = build_info();
+        let build_labels = [("version", version), ("git", git)];
+        sink.record(&[], series(BUILD_INFO, &build_labels), Gauge(1.0));
+        let uptime = Gauge(self.uptime().as_secs_f64());
+        sink.record(&["uptime_s"], series(UPTIME, &[]), uptime);
+
+        let requests = self.requests.each_ref().map(load);
+        sink.record(&["requests", "total"], None, Counter(requests.iter().sum()));
+        for endpoint in Endpoint::ALL {
+            let (name, count) = (endpoint.name(), Counter(requests[endpoint.index()]));
+            sink.record(
+                &["requests", name],
+                series(REQUESTS, &[("endpoint", name)]),
+                count,
+            );
         }
-        self.texts_scored.fetch_add(size as u64, Ordering::Relaxed);
-        self.batches.record(size);
-    }
+        let errors = Counter(load(&self.error_responses));
+        sink.record(&["requests", "errors"], series(ERRORS, &[]), errors);
+        let reuses = Counter(self.keepalive_reuses_total());
+        sink.record(&["keepalive_reuses_total"], series(REUSES, &[]), reuses);
 
-    /// The largest batch scored so far across all queues (0 before the first
-    /// batch).
-    pub fn max_batch_size(&self) -> usize {
-        self.batches.max_size()
-    }
-
-    /// Total requests across all endpoints (including unroutable ones, so
-    /// `total` is always ≥ `errors`).
-    pub fn total_requests(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// The metrics document without registry fit stats (counters only in the
-    /// `registry` section). The server uses [`snapshot_with_fit`](Self::snapshot_with_fit).
-    pub fn snapshot(&self) -> JsonValue {
-        self.build_snapshot(None)
-    }
-
-    /// The full metrics document served by `GET /metrics`: counters plus the
-    /// given registry's fit stats, read from the live registry at snapshot
-    /// time so `/metrics` can never disagree with the models actually serving.
-    pub fn snapshot_with_fit(&self, fit: &FitStats) -> JsonValue {
-        self.build_snapshot(Some(fit))
-    }
-
-    fn build_snapshot(&self, fit: Option<&FitStats>) -> JsonValue {
-        let mut registry_fields = vec![(
-            "reloads_total",
-            JsonValue::Number(self.reloads_total.load(Ordering::Relaxed) as f64),
-        )];
-        if let Some(fit) = fit {
-            registry_fields.push((
-                "last_fit_us",
-                JsonValue::Number(fit.duration.as_micros() as f64),
-            ));
-            registry_fields.push(("fit_shards", JsonValue::Number(fit.shards as f64)));
-            registry_fields.push(("corpus_size", JsonValue::Number(fit.corpus_size as f64)));
-        }
-
-        let queue_fields: Vec<(String, JsonValue)> = self
+        // The cross-queue totals are derived from the per-queue readings.
+        // Histogram merge is exact (max included), so they equal what a
+        // second, global recorder would have counted.
+        let readings: Vec<QueueReading> = self
             .queues
             .lock()
             .unwrap()
             .iter()
-            .map(|(name, _, metrics)| (name.clone(), metrics.snapshot()))
+            .map(|(kind, scorer_kind, queue)| QueueReading {
+                kind: kind.clone(),
+                scorer_kind: scorer_kind.clone(),
+                depth: queue.depth(),
+                texts_scored: load(&queue.texts_scored),
+                batches: queue.batches.snapshot(),
+                queue_wait: queue.queue_wait.snapshot(),
+                score: queue.score.snapshot(),
+            })
             .collect();
+        let mut batches = HistogramSnapshot::empty();
+        for reading in &readings {
+            batches.merge(&reading.batches);
+        }
+        let texts_scored = Counter(readings.iter().map(|r| r.texts_scored).sum());
+        sink.record(&["texts_scored"], series(TEXTS_SCORED, &[]), texts_scored);
+        sink.record(&["batches"], series(BATCH_SIZE, &[]), Sizes(batches));
+        let latency = Latency(self.request_latency.snapshot());
+        sink.record(&["latency_us"], series(REQUEST_LATENCY, &[]), latency);
 
-        let mut thread_fields = Vec::new();
+        // Stage histograms appear once they have samples, in both formats.
+        sink.section(&["stages"]);
+        for endpoint in Endpoint::ALL {
+            for (stage, &stage_name) in STAGE_NAMES.iter().enumerate() {
+                let snapshot = self.obs.stage_snapshot(endpoint, stage);
+                if snapshot.count() > 0 {
+                    let path = ["stages", endpoint.name(), stage_name];
+                    let labels = [("endpoint", endpoint.name()), ("stage", stage_name)];
+                    sink.record(&path, series(STAGE_DURATION, &labels), Latency(snapshot));
+                }
+            }
+        }
+
+        let c = &self.connections;
+        let open = Gauge(c.open() as f64);
+        sink.record(
+            &["connections", "open"],
+            series(CONNECTIONS_OPEN, &[]),
+            open,
+        );
+        for (key, family, counter) in [
+            ("accepted_total", ACCEPTED, &c.accepted_total),
+            ("closed_total", CLOSED, &c.closed_total),
+            ("wakeups_total", WAKEUPS, &c.wakeups_total),
+            ("pipelined_requests_total", PIPELINED, &c.pipelined_total),
+            (
+                "idle_timeout_evictions_total",
+                EVICTIONS,
+                &c.idle_evictions_total,
+            ),
+        ] {
+            let count = Counter(load(counter));
+            sink.record(&["connections", key], series(family, &[]), count);
+        }
+
+        let admission = &self.admission;
+        for (key, family, value) in [
+            (
+                "aggregate_depth",
+                AGGREGATE_DEPTH,
+                Gauge(self.aggregate_queue_depth() as f64),
+            ),
+            (
+                "intake_closed",
+                INTAKE_CLOSED,
+                Flag(admission.intake_closed()),
+            ),
+            (
+                "intake_closures_total",
+                INTAKE_CLOSURES,
+                Counter(admission.intake_closures_total()),
+            ),
+        ] {
+            sink.record(&["admission", key], series(family, &[]), value);
+        }
+        let shed = admission
+            .shed
+            .each_ref()
+            .map(|row| row.each_ref().map(load));
+        let shed_total = Counter(shed.iter().flatten().sum());
+        sink.record(&["admission", "shed_total"], None, shed_total);
+        for endpoint in Endpoint::ALL {
+            for reason in ShedReason::ALL {
+                let (e, r) = (endpoint.name(), reason.name());
+                let count = Counter(shed[endpoint.index()][reason.index()]);
+                let labels = [("endpoint", e), ("reason", r)];
+                sink.record(&["admission", "shed", e, r], series(SHED, &labels), count);
+            }
+        }
+        if let Some(limits) = *admission.limits.lock().unwrap() {
+            let (rate, burst) = limits.rate_limit.unzip();
+            let as_f64 = |limit: u64| Some(limit as f64);
+            for (key, family, value) in [
+                (
+                    "max_queue_depth",
+                    DEPTH_LIMIT,
+                    as_f64(limits.max_queue_depth),
+                ),
+                (
+                    "global_intake_limit",
+                    INTAKE_LIMIT,
+                    as_f64(limits.global_intake_limit),
+                ),
+                (
+                    "explain_shed_depth",
+                    EXPLAIN_LIMIT,
+                    as_f64(limits.explain_shed_depth),
+                ),
+                ("rate_per_s", RATE_PER_S, rate),
+                ("burst", BURST, burst),
+            ] {
+                let value = Optional(value);
+                sink.record(&["admission", "limits", key], series(family, &[]), value);
+            }
+        }
+
         if let Some((pollers, handlers, queues)) = *self.thread_plan.lock().unwrap() {
-            thread_fields.push(("pollers", JsonValue::Number(pollers as f64)));
-            thread_fields.push(("handlers", JsonValue::Number(handlers as f64)));
-            thread_fields.push(("queues", JsonValue::Number(queues as f64)));
-        }
-        thread_fields.push((
-            "os_threads",
-            match os_thread_count() {
-                Some(n) => JsonValue::Number(n as f64),
-                None => JsonValue::Null,
-            },
-        ));
-
-        let request_fields: Vec<(&str, JsonValue)> =
-            std::iter::once(("total", JsonValue::Number(self.total_requests() as f64)))
-                .chain(Endpoint::ALL.iter().map(|&endpoint| {
-                    (
-                        endpoint.name(),
-                        JsonValue::Number(
-                            self.requests[endpoint.index()].load(Ordering::Relaxed) as f64
-                        ),
-                    )
-                }))
-                .chain(std::iter::once((
-                    "errors",
-                    JsonValue::Number(self.error_responses.load(Ordering::Relaxed) as f64),
-                )))
-                .collect();
-
-        JsonValue::object(vec![
-            ("uptime_s", JsonValue::Number(self.uptime().as_secs_f64())),
-            ("requests", JsonValue::object(request_fields)),
-            (
-                "keepalive_reuses_total",
-                JsonValue::Number(self.keepalive_reuses.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "texts_scored",
-                JsonValue::Number(self.texts_scored.load(Ordering::Relaxed) as f64),
-            ),
-            ("batches", self.batches.snapshot_json()),
-            ("latency_us", self.request_latency.snapshot().to_json()),
-            ("stages", self.obs.stages_json()),
-            ("connections", self.connections.snapshot()),
-            (
-                "admission",
-                self.admission.snapshot(self.aggregate_queue_depth()),
-            ),
-            ("threads", JsonValue::object(thread_fields)),
-            ("queues", JsonValue::Object(queue_fields)),
-            ("registry", JsonValue::object(registry_fields)),
-        ])
-    }
-
-    /// The same data as [`snapshot_with_fit`](Self::snapshot_with_fit), in
-    /// Prometheus text exposition format (version 0.0.4): counters, gauges
-    /// and cumulative-bucket histograms. Families with no samples are
-    /// omitted entirely, so every emitted `# TYPE` line has samples — the
-    /// invariant [`crate::obs::validate_exposition`] checks.
-    pub fn render_prometheus(&self, fit: Option<&FitStats>) -> String {
-        let mut out = String::with_capacity(4096);
-        let (version, git) = build_info();
-        out.push_str("# HELP holistix_build_info Build metadata as labels; value is always 1.\n# TYPE holistix_build_info gauge\n");
-        out.push_str(&format!(
-            "holistix_build_info{{version=\"{version}\",git=\"{git}\"}} 1\n"
-        ));
-        out.push_str("# HELP holistix_uptime_seconds Seconds since the server started.\n# TYPE holistix_uptime_seconds gauge\n");
-        out.push_str(&format!(
-            "holistix_uptime_seconds {}\n",
-            self.uptime().as_secs_f64()
-        ));
-
-        out.push_str("# HELP holistix_requests_total Requests received, by endpoint.\n# TYPE holistix_requests_total counter\n");
-        for &endpoint in &Endpoint::ALL {
-            out.push_str(&format!(
-                "holistix_requests_total{{endpoint=\"{}\"}} {}\n",
-                endpoint.name(),
-                self.requests[endpoint.index()].load(Ordering::Relaxed)
-            ));
-        }
-        let scalar_counters: [(&str, &str, u64); 4] = [
-            (
-                "holistix_error_responses_total",
-                "Responses with a 4xx/5xx status.",
-                self.error_responses.load(Ordering::Relaxed),
-            ),
-            (
-                "holistix_keepalive_reuses_total",
-                "Requests served on a reused keep-alive connection.",
-                self.keepalive_reuses.load(Ordering::Relaxed),
-            ),
-            (
-                "holistix_texts_scored_total",
-                "Texts scored across all batch queues.",
-                self.texts_scored.load(Ordering::Relaxed),
-            ),
-            (
-                "holistix_reloads_total",
-                "Completed registry reloads.",
-                self.reloads_total.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, help, value) in scalar_counters {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
-
-        out.push_str("# HELP holistix_connections_open Connections currently open.\n# TYPE holistix_connections_open gauge\n");
-        out.push_str(&format!(
-            "holistix_connections_open {}\n",
-            self.connections.open()
-        ));
-        let connection_counters: [(&str, &str, u64); 5] = [
-            (
-                "holistix_connections_accepted_total",
-                "Connections accepted.",
-                self.connections.accepted_total.load(Ordering::Relaxed),
-            ),
-            (
-                "holistix_connections_closed_total",
-                "Connections closed.",
-                self.connections.closed_total.load(Ordering::Relaxed),
-            ),
-            (
-                "holistix_poll_wakeups_total",
-                "poll(2) returns reporting at least one ready fd.",
-                self.connections.wakeups_total.load(Ordering::Relaxed),
-            ),
-            (
-                "holistix_pipelined_requests_total",
-                "Requests parsed while an earlier one was in flight.",
-                self.connections.pipelined_total(),
-            ),
-            (
-                "holistix_idle_timeout_evictions_total",
-                "Connections evicted by the idle-timeout wheel.",
-                self.connections.idle_evictions_total(),
-            ),
-        ];
-        for (name, help, value) in connection_counters {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
-        if let Some(threads) = os_thread_count() {
-            out.push_str("# HELP holistix_os_threads Live OS threads in this process.\n# TYPE holistix_os_threads gauge\n");
-            out.push_str(&format!("holistix_os_threads {threads}\n"));
-        }
-
-        out.push_str("# HELP holistix_shed_total Requests shed with 429, by endpoint and reason.\n# TYPE holistix_shed_total counter\n");
-        for &endpoint in &Endpoint::ALL {
-            for &reason in &ShedReason::ALL {
-                out.push_str(&format!(
-                    "holistix_shed_total{{endpoint=\"{}\",reason=\"{}\"}} {}\n",
-                    endpoint.name(),
-                    reason.name(),
-                    self.admission.shed_count(endpoint, reason)
-                ));
-            }
-        }
-        out.push_str("# HELP holistix_queue_depth_aggregate Jobs queued across every kind's batch queue.\n# TYPE holistix_queue_depth_aggregate gauge\n");
-        out.push_str(&format!(
-            "holistix_queue_depth_aggregate {}\n",
-            self.aggregate_queue_depth()
-        ));
-        out.push_str("# HELP holistix_intake_closed 1 while the global intake valve is closed (pollers not reading).\n# TYPE holistix_intake_closed gauge\n");
-        out.push_str(&format!(
-            "holistix_intake_closed {}\n",
-            self.admission.intake_closed() as u64
-        ));
-        out.push_str("# HELP holistix_intake_closures_total Open-to-closed transitions of the intake valve.\n# TYPE holistix_intake_closures_total counter\n");
-        out.push_str(&format!(
-            "holistix_intake_closures_total {}\n",
-            self.admission.intake_closures_total()
-        ));
-        if let Some(limits) = *self.admission.limits.lock().unwrap() {
-            let mut limit_gauges: Vec<(&str, &str, f64)> = vec![
-                (
-                    "holistix_admission_queue_depth_limit",
-                    "Configured per-kind queue depth cap.",
-                    limits.max_queue_depth as f64,
-                ),
-                (
-                    "holistix_admission_intake_limit",
-                    "Aggregate depth at which the intake valve closes.",
-                    limits.global_intake_limit as f64,
-                ),
-                (
-                    "holistix_admission_explain_shed_depth",
-                    "Aggregate depth at which /explain sheds.",
-                    limits.explain_shed_depth as f64,
-                ),
+            let plan = [
+                ("pollers", pollers),
+                ("handlers", handlers),
+                ("queues", queues),
             ];
-            if let Some((rate, burst)) = limits.rate_limit {
-                limit_gauges.push((
-                    "holistix_admission_rate_per_s",
-                    "Per-connection token-bucket refill rate, tokens per second.",
-                    rate,
-                ));
-                limit_gauges.push((
-                    "holistix_admission_burst",
-                    "Per-connection token-bucket capacity, tokens.",
-                    burst,
-                ));
-            }
-            for (name, help, value) in limit_gauges {
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-                ));
+            for (key, threads) in plan {
+                sink.record(&["threads", key], None, Gauge(threads as f64));
             }
         }
+        let os_threads = Optional(os_thread_count().map(|n| n as f64));
+        sink.record(
+            &["threads", "os_threads"],
+            series(OS_THREADS, &[]),
+            os_threads,
+        );
 
-        let batch_snapshot = self.batches.histogram.snapshot();
-        if batch_snapshot.count() > 0 {
-            out.push_str("# HELP holistix_batch_size Scored micro-batch sizes (texts per batch), all queues.\n# TYPE holistix_batch_size histogram\n");
-            append_histogram(&mut out, "holistix_batch_size", "", &batch_snapshot);
-        }
-        let latency_snapshot = self.request_latency.snapshot();
-        if latency_snapshot.count() > 0 {
-            out.push_str("# HELP holistix_request_latency_us End-to-end request latency (parse done to last byte written), microseconds.\n# TYPE holistix_request_latency_us histogram\n");
-            append_histogram(
-                &mut out,
-                "holistix_request_latency_us",
-                "",
-                &latency_snapshot,
-            );
-        }
-
-        let queues = self.queues.lock().unwrap();
-        if !queues.is_empty() {
-            out.push_str("# HELP holistix_queue_depth Jobs waiting in (or being scored from) the queue.\n# TYPE holistix_queue_depth gauge\n");
-            for (kind, family, queue) in queues.iter() {
-                out.push_str(&format!(
-                    "holistix_queue_depth{{kind=\"{kind}\",scorer_kind=\"{family}\"}} {}\n",
-                    queue.depth()
-                ));
-            }
-            out.push_str("# HELP holistix_queue_texts_scored_total Texts this queue has scored.\n# TYPE holistix_queue_texts_scored_total counter\n");
-            for (kind, family, queue) in queues.iter() {
-                out.push_str(&format!(
-                    "holistix_queue_texts_scored_total{{kind=\"{kind}\",scorer_kind=\"{family}\"}} {}\n",
-                    queue.texts_scored.load(Ordering::Relaxed)
-                ));
-            }
-            // Per-kind histograms: only kinds with samples, and the TYPE line
-            // only when at least one kind has any.
-            type Selector = fn(&QueueMetrics) -> &LogHistogram;
-            let families: [(&str, &str, Selector); 3] = [
+        sink.section(&["queues"]);
+        for queue in readings {
+            let kind = queue.kind.as_str();
+            let labels = [("kind", kind), ("scorer_kind", queue.scorer_kind.as_str())];
+            for (key, family, value) in [
+                ("depth", QUEUE_DEPTH, Gauge(queue.depth as f64)),
                 (
-                    "holistix_queue_batch_size",
-                    "Scored batch sizes for this queue.",
-                    |q| &q.batches.histogram,
+                    "texts_scored",
+                    QUEUE_TEXTS_SCORED,
+                    Counter(queue.texts_scored),
                 ),
-                (
-                    "holistix_queue_wait_us",
-                    "Per-job wait from enqueue to batch drain, microseconds.",
-                    |q| &q.queue_wait,
-                ),
-                (
-                    "holistix_queue_score_us",
-                    "Per-batch scoring call duration, microseconds.",
-                    |q| &q.score,
-                ),
-            ];
-            for (name, help, select) in families {
-                let snapshots: Vec<(&str, &str, HistogramSnapshot)> = queues
-                    .iter()
-                    .map(|(kind, family, queue)| {
-                        (kind.as_str(), family.as_str(), select(queue).snapshot())
-                    })
-                    .filter(|(_, _, s)| s.count() > 0)
-                    .collect();
-                if snapshots.is_empty() {
-                    continue;
-                }
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-                for (kind, family, snapshot) in snapshots {
-                    append_histogram(
-                        &mut out,
-                        name,
-                        &format!("kind=\"{kind}\",scorer_kind=\"{family}\""),
-                        &snapshot,
-                    );
-                }
+                ("batches", QUEUE_BATCH_SIZE, Sizes(queue.batches)),
+                ("queue_wait_us", QUEUE_WAIT, Latency(queue.queue_wait)),
+                ("score_us", QUEUE_SCORE, Latency(queue.score)),
+            ] {
+                sink.record(&["queues", kind, key], series(family, &labels), value);
             }
         }
-        drop(queues);
 
-        self.obs.render_prometheus_into(&mut out);
-
+        let reloads = Counter(self.reloads_total());
+        sink.record(
+            &["registry", "reloads_total"],
+            series(RELOADS, &[]),
+            reloads,
+        );
         if let Some(fit) = fit {
-            let fit_gauges: [(&str, &str, f64); 3] = [
-                (
-                    "holistix_registry_last_fit_us",
-                    "Duration of the registry's most recent fit, microseconds.",
-                    fit.duration.as_micros() as f64,
-                ),
-                (
-                    "holistix_registry_fit_shards",
-                    "Shards the most recent fit ran across.",
-                    fit.shards as f64,
-                ),
-                (
-                    "holistix_registry_corpus_size",
-                    "Posts in the corpus behind the serving registry.",
-                    fit.corpus_size as f64,
-                ),
-            ];
-            for (name, help, value) in fit_gauges {
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-                ));
+            for (key, family, value) in [
+                ("last_fit_us", LAST_FIT, fit.duration.as_micros() as f64),
+                ("fit_shards", FIT_SHARDS, fit.shards as f64),
+                ("corpus_size", CORPUS_SIZE, fit.corpus_size as f64),
+            ] {
+                sink.record(&["registry", key], series(family, &[]), Gauge(value));
             }
         }
-        out
     }
 }
 
@@ -1114,24 +1047,35 @@ mod tests {
     use super::*;
     use crate::obs::{validate_exposition, TraceStamp};
 
-    /// A finalized trace with the given endpoint and end-to-end total.
-    fn finalize_total(metrics: &ServeMetrics, endpoint: Endpoint, total: Duration) {
+    /// Finalize one trace on `endpoint` with the given stamp offsets (µs).
+    fn finalize(metrics: &ServeMetrics, endpoint: Endpoint, stamps: &[(TraceStamp, u64)]) {
         let started = Instant::now();
         let mut trace = metrics.obs().begin_trace(started);
-        trace.endpoint = endpoint.name();
-        trace.stamp_at(TraceStamp::WriteDone, started + total);
+        trace.endpoint = endpoint;
+        for &(stamp, micros) in stamps {
+            trace.stamp_at(stamp, started + Duration::from_micros(micros));
+        }
         metrics.finalize_trace(&trace);
+    }
+
+    /// Score one batch of `size` jobs through `queue`, as the drain loop does.
+    fn score_batch(queue: &QueueMetrics, size: usize, score_us: u64) {
+        for _ in 0..size {
+            queue.record_enqueued();
+        }
+        let waits: Vec<u64> = (0..size as u64).map(|i| 7 + 13 * i).collect();
+        queue.record_batch(size, &waits, score_us);
     }
 
     #[test]
     fn batch_histogram_tracks_sizes_and_texts() {
         let metrics = ServeMetrics::new();
-        metrics.record_batch(1);
-        metrics.record_batch(4);
-        metrics.record_batch(4);
-        metrics.record_batch(0); // ignored
-        assert_eq!(metrics.max_batch_size(), 4);
-        let snapshot = metrics.snapshot();
+        let lr = metrics.queue("LR", "classical");
+        for size in [1, 4, 4, 0] {
+            score_batch(&lr, size, 10); // the empty batch is ignored
+        }
+        assert_eq!(lr.max_batch_size(), 4);
+        let snapshot = metrics.snapshot(None);
         assert_eq!(snapshot.get("texts_scored").unwrap().as_f64(), Some(9.0));
         let batches = snapshot.get("batches").unwrap();
         assert_eq!(batches.get("count").unwrap().as_f64(), Some(3.0));
@@ -1146,9 +1090,13 @@ mod tests {
     fn latency_percentiles_come_from_finalized_traces() {
         let metrics = ServeMetrics::new();
         for micros in 1..=100u64 {
-            finalize_total(&metrics, Endpoint::Predict, Duration::from_micros(micros));
+            finalize(
+                &metrics,
+                Endpoint::Predict,
+                &[(TraceStamp::WriteDone, micros)],
+            );
         }
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         let latency = snapshot.get("latency_us").unwrap();
         assert_eq!(latency.get("count").unwrap().as_f64(), Some(100.0));
         // Values ≥ 32 land in log2 buckets: the estimate may overshoot the
@@ -1163,13 +1111,13 @@ mod tests {
         // The stage histogram for the endpoint saw the same traces.
         let write = metrics
             .obs()
-            .stage_snapshot("predict", TraceStamp::WriteDone as usize);
+            .stage_snapshot(Endpoint::Predict, TraceStamp::WriteDone as usize);
         assert_eq!(write.count(), 100);
     }
 
     #[test]
     fn empty_latency_histogram_reports_null() {
-        let snapshot = ServeMetrics::new().snapshot();
+        let snapshot = ServeMetrics::new().snapshot(None);
         let latency = snapshot.get("latency_us").unwrap();
         assert_eq!(latency.get("p50"), Some(&JsonValue::Null));
         assert_eq!(latency.get("count").unwrap().as_f64(), Some(0.0));
@@ -1184,9 +1132,9 @@ mod tests {
         metrics.record_request(Endpoint::Reload);
         metrics.record_request(Endpoint::DebugSlow);
         metrics.record_error();
-        assert_eq!(metrics.total_requests(), 5);
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         let requests = snapshot.get("requests").unwrap();
+        assert_eq!(requests.get("total").unwrap().as_f64(), Some(5.0));
         assert_eq!(requests.get("predict").unwrap().as_f64(), Some(2.0));
         assert_eq!(requests.get("reload").unwrap().as_f64(), Some(1.0));
         assert_eq!(requests.get("debug_slow").unwrap().as_f64(), Some(1.0));
@@ -1200,7 +1148,7 @@ mod tests {
         metrics.record_keepalive_reuse();
         metrics.record_keepalive_reuse();
         assert_eq!(metrics.keepalive_reuses_total(), 2);
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         assert_eq!(
             snapshot.get("keepalive_reuses_total").unwrap().as_f64(),
             Some(2.0)
@@ -1226,7 +1174,7 @@ mod tests {
         bert.record_dropped(1);
         assert_eq!(bert.depth(), 0);
 
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         let queues = snapshot.get("queues").unwrap();
         let lr_section = queues.get("LR").unwrap();
         assert_eq!(lr_section.get("depth").unwrap().as_f64(), Some(2.0));
@@ -1261,7 +1209,7 @@ mod tests {
         assert_eq!(conns.open(), 1);
         metrics.set_thread_plan(2, 8, 3);
 
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         let section = snapshot.get("connections").unwrap();
         assert_eq!(section.get("open").unwrap().as_f64(), Some(1.0));
         assert_eq!(section.get("accepted_total").unwrap().as_f64(), Some(2.0));
@@ -1292,7 +1240,7 @@ mod tests {
     fn registry_fit_stats_round_trip_through_snapshot() {
         let metrics = ServeMetrics::new();
         // Without a registry, the section carries counters only.
-        let bare = metrics.snapshot();
+        let bare = metrics.snapshot(None);
         let section = bare.get("registry").unwrap();
         assert_eq!(section.get("reloads_total").unwrap().as_f64(), Some(0.0));
         assert_eq!(section.get("last_fit_us"), None);
@@ -1305,7 +1253,7 @@ mod tests {
             shards: 4,
             corpus_size: 2_000,
         };
-        let snapshot = metrics.snapshot_with_fit(&fit);
+        let snapshot = metrics.snapshot(Some(&fit));
         let section = snapshot.get("registry").unwrap();
         assert_eq!(section.get("reloads_total").unwrap().as_f64(), Some(2.0));
         assert_eq!(section.get("last_fit_us").unwrap().as_f64(), Some(12_500.0));
@@ -1321,14 +1269,13 @@ mod tests {
         metrics.record_request(Endpoint::Metrics);
         metrics.record_error();
         metrics.record_keepalive_reuse();
-        metrics.record_batch(3);
-        metrics.record_batch(40); // a log2-bucketed size
         let lr = metrics.queue("LR", "classical");
         for _ in 0..3 {
             lr.record_enqueued();
         }
         lr.record_batch(3, &[15, 40, 1000], 900);
-        finalize_total(&metrics, Endpoint::Predict, Duration::from_micros(480));
+        score_batch(&lr, 40, 2_000); // a log2-bucketed size
+        finalize(&metrics, Endpoint::Predict, &[(TraceStamp::WriteDone, 480)]);
         metrics.set_thread_plan(2, 4, 1);
         let fit = FitStats {
             duration: Duration::from_micros(7_000),
@@ -1340,7 +1287,7 @@ mod tests {
         validate_exposition(&text).expect("valid exposition");
 
         // Counters agree with the JSON snapshot.
-        let json = metrics.snapshot_with_fit(&fit);
+        let json = metrics.snapshot(Some(&fit));
         let predict_json = json
             .get("requests")
             .unwrap()
@@ -1416,7 +1363,7 @@ mod tests {
         assert!(!text.contains("kind=\"LR\",scorer_kind=\"quantized\""));
 
         // JSON snapshot: still one object per kind name, no scorer_kind key.
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         let queues = snapshot.get("queues").unwrap();
         for kind in ["LR", "BERT", "MentalBERT-i8"] {
             let section = queues.get(kind).unwrap();
@@ -1474,6 +1421,43 @@ mod tests {
         assert_eq!(metrics.aggregate_queue_depth(), 2);
         assert_eq!(lr.depth(), 0);
         assert_eq!(bert.depth(), 2);
+
+        // The cross-queue totals are derived at render time: `texts_scored`
+        // is the sum over queues and the batch histogram their merge.
+        bert.record_batch(2, &[3, 4], 700);
+        score_batch(&bert, 40, 900);
+        let mut merged = lr.batches.snapshot();
+        merged.merge(&bert.batches.snapshot());
+        assert_eq!((merged.count(), merged.max()), (3, 40));
+        let json = metrics.snapshot(None);
+        let queues = json.get("queues").unwrap();
+        let scored = |section: &JsonValue| section.get("texts_scored").unwrap().as_f64().unwrap();
+        assert_eq!(scored(&json), 44.0);
+        assert_eq!(
+            scored(&json),
+            scored(queues.get("LR").unwrap()) + scored(queues.get("BERT").unwrap())
+        );
+        let expected_batches = JsonValue::object(vec![
+            ("count", JsonValue::Number(3.0)),
+            ("max_size", JsonValue::Number(40.0)),
+            (
+                "histogram",
+                JsonValue::Object(
+                    merged
+                        .nonzero_buckets()
+                        .map(|(upper, count)| (upper.to_string(), JsonValue::Number(count as f64)))
+                        .collect(),
+                ),
+            ),
+        ]);
+        assert_eq!(json.get("batches"), Some(&expected_batches));
+
+        let text = metrics.render_prometheus(None);
+        assert!(text.contains("holistix_texts_scored_total 44\n"));
+        assert!(text.contains("holistix_batch_size_bucket{le=\"2\"} 2\n"));
+        assert!(text.contains("holistix_batch_size_bucket{le=\"41\"} 3\n"));
+        assert!(text.contains(&format!("holistix_batch_size_sum {}\n", merged.sum())));
+        assert!(text.contains("holistix_batch_size_count 3\n"));
     }
 
     #[test]
@@ -1497,7 +1481,7 @@ mod tests {
         assert!(admission.intake_closed());
         assert_eq!(admission.intake_closures_total(), 2);
 
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(None);
         let section = snapshot.get("admission").unwrap();
         assert_eq!(section.get("aggregate_depth").unwrap().as_f64(), Some(0.0));
         assert_eq!(section.get("intake_closed").unwrap().as_bool(), Some(true));
@@ -1556,5 +1540,187 @@ mod tests {
         assert_eq!(Endpoint::resolve("GET", "/debug/slow"), Endpoint::DebugSlow);
         assert_eq!(Endpoint::resolve("GET", "/predict"), Endpoint::Other);
         assert_eq!(Endpoint::resolve("POST", "/nope"), Endpoint::Other);
+    }
+
+    /// The fixed recording script behind the populated golden documents:
+    /// every endpoint counter, errors, keep-alive reuses, batch sizes below
+    /// and above 32 on two queues of different `scorer_kind`, finalized
+    /// traces on two endpoints, sheds, valve transitions, the admission
+    /// limits (with or without a rate limit), connections, a reload, the
+    /// thread plan and fit stats.
+    fn golden_script(rate_limit: Option<(f64, f64)>) -> (ServeMetrics, FitStats) {
+        use TraceStamp::*;
+        let metrics = ServeMetrics::new();
+        for (i, &endpoint) in Endpoint::ALL.iter().enumerate() {
+            for _ in 0..=i {
+                metrics.record_request(endpoint);
+            }
+        }
+        for _ in 0..3 {
+            metrics.record_error();
+        }
+        for _ in 0..5 {
+            metrics.record_keepalive_reuse();
+        }
+
+        let lr = metrics.queue("LR", "classical");
+        let bert = metrics.queue("BERT", "transformer");
+        score_batch(&lr, 1, 90);
+        score_batch(&lr, 5, 310);
+        score_batch(&lr, 40, 2_400);
+        score_batch(&bert, 3, 48_000);
+        score_batch(&bert, 100, 910_000);
+        lr.record_enqueued();
+        lr.record_enqueued();
+
+        finalize(
+            &metrics,
+            Endpoint::Predict,
+            &[
+                (HandlerStart, 12),
+                (QueueEnqueue, 30),
+                (BatchDrain, 5_030),
+                (Scored, 5_400),
+                (ResponseQueued, 5_460),
+                (WriteDone, 5_520),
+            ],
+        );
+        finalize(
+            &metrics,
+            Endpoint::Predict,
+            &[
+                (HandlerStart, 25),
+                (QueueEnqueue, 61),
+                (BatchDrain, 4_100),
+                (Scored, 4_950),
+                (ResponseQueued, 5_002),
+                (WriteDone, 5_090),
+            ],
+        );
+        finalize(
+            &metrics,
+            Endpoint::Health,
+            &[(HandlerStart, 8), (ResponseQueued, 20), (WriteDone, 41)],
+        );
+
+        metrics.record_shed(Endpoint::Predict, ShedReason::QueueFull);
+        metrics.record_shed(Endpoint::Predict, ShedReason::QueueFull);
+        metrics.record_shed(Endpoint::Explain, ShedReason::Degraded);
+        metrics.record_shed(Endpoint::Health, ShedReason::RateLimited);
+        metrics.record_shed(Endpoint::Other, ShedReason::RateLimited);
+        let admission = metrics.admission();
+        admission.set_intake_closed(true);
+        admission.set_intake_closed(false);
+        admission.set_intake_closed(true);
+        admission.set_limits(64, 256, 32, rate_limit);
+
+        let connections = metrics.connections();
+        for _ in 0..3 {
+            connections.record_accepted();
+        }
+        connections.record_closed();
+        for _ in 0..4 {
+            connections.record_wakeup();
+        }
+        connections.record_pipelined();
+        connections.record_pipelined();
+        connections.record_idle_eviction();
+
+        metrics.record_reload();
+        metrics.set_thread_plan(2, 4, 2);
+        let fit = FitStats {
+            duration: Duration::from_micros(7_250),
+            shards: 2,
+            corpus_size: 90,
+        };
+        (metrics, fit)
+    }
+
+    /// Mask the run-dependent JSON values: `uptime_s` and `threads.os_threads`.
+    fn mask_json(value: &mut JsonValue) {
+        if let JsonValue::Object(fields) = value {
+            for (key, field) in fields {
+                if key == "uptime_s" || key == "os_threads" {
+                    *field = JsonValue::string("masked");
+                } else {
+                    mask_json(field);
+                }
+            }
+        }
+    }
+
+    /// Mask the run-dependent Prometheus values: the uptime and OS thread
+    /// gauges and the `git` label of `holistix_build_info`.
+    fn mask_prometheus(text: &str) -> String {
+        let mut out = String::new();
+        for line in text.lines() {
+            if let Some((name, _)) = line.split_once(' ').filter(|(name, _)| {
+                ["holistix_uptime_seconds", "holistix_os_threads"].contains(name)
+            }) {
+                out.push_str(&format!("{name} masked\n"));
+            } else if let Some((head, tail)) = line
+                .strip_prefix("holistix_build_info{")
+                .and_then(|_| line.split_once("git=\""))
+            {
+                let (_, rest) = tail.split_once('"').expect("terminated git label");
+                out.push_str(&format!("{head}git=\"masked\"{rest}\n"));
+            } else {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    /// The exposition split into family blocks (`# HELP`, `# TYPE` and the
+    /// family's samples), sorted, so family order does not matter.
+    fn family_blocks(text: &str) -> Vec<String> {
+        let mut blocks: Vec<String> = Vec::new();
+        for line in text.lines() {
+            if line.starts_with("# HELP ") || blocks.is_empty() {
+                blocks.push(String::new());
+            }
+            let block = blocks.last_mut().expect("pushed above");
+            block.push_str(line);
+            block.push('\n');
+        }
+        blocks.sort();
+        blocks
+    }
+
+    fn assert_golden(metrics: &ServeMetrics, fit: Option<&FitStats>, json: &str, prometheus: &str) {
+        let mut document = metrics.snapshot(fit);
+        mask_json(&mut document);
+        assert_eq!(format!("{document}\n"), json);
+        let text = metrics.render_prometheus(fit);
+        validate_exposition(&text).expect("valid exposition");
+        assert_eq!(
+            family_blocks(&mask_prometheus(&text)),
+            family_blocks(prometheus)
+        );
+    }
+
+    #[test]
+    fn metrics_documents_match_golden_files() {
+        let (metrics, fit) = golden_script(Some((12.5, 4.0)));
+        assert_golden(
+            &metrics,
+            Some(&fit),
+            include_str!("testdata/metrics_populated.json"),
+            include_str!("testdata/metrics_populated.prom"),
+        );
+        let (metrics, fit) = golden_script(None);
+        assert_golden(
+            &metrics,
+            Some(&fit),
+            include_str!("testdata/metrics_no_rate_limit.json"),
+            include_str!("testdata/metrics_no_rate_limit.prom"),
+        );
+        assert_golden(
+            &ServeMetrics::new(),
+            None,
+            include_str!("testdata/metrics_empty.json"),
+            include_str!("testdata/metrics_empty.prom"),
+        );
     }
 }

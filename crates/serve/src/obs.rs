@@ -48,6 +48,7 @@
 //! pays nothing for the feature. Only a genuinely slow trace (rare by
 //! definition) takes the mutex to displace the current minimum.
 
+use crate::metrics::Endpoint;
 use holistix_corpus::json::JsonValue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -346,8 +347,8 @@ pub struct RequestTrace {
     pub started: Instant,
     /// Offsets from `started`, one per [`TraceStamp`]; `None` until stamped.
     stamps: [Option<Duration>; N_STAMPS],
-    /// Endpoint name, set by the router (`"other"` until routed).
-    pub endpoint: &'static str,
+    /// The endpoint, set by the router ([`Endpoint::Other`] until routed).
+    pub endpoint: Endpoint,
     /// Resolved model kind for predict/explain requests.
     pub kind: Option<String>,
 }
@@ -359,7 +360,7 @@ impl RequestTrace {
             id,
             started,
             stamps: [None; N_STAMPS],
-            endpoint: "other",
+            endpoint: Endpoint::Other,
             kind: None,
         }
     }
@@ -413,25 +414,40 @@ impl RequestTrace {
         stages
     }
 
-    /// The per-stage breakdown as JSON — what `?trace=1` inlines into a
-    /// predict/explain response and `/debug/slow` serves per trace. Stages
-    /// appear in stamp order with both the absolute offset (`at_us`, from
-    /// parse completion) and the stage duration (`dur_us`).
-    pub fn stages_json(&self) -> JsonValue {
-        let stages: Vec<JsonValue> = self
-            .stage_durations()
+    /// `(stage_index, at_us, dur_us)` for every present stamp: the stage's
+    /// end as an offset from parse completion, and its duration.
+    fn stage_rows(&self) -> Vec<(usize, u64, u64)> {
+        self.stage_durations()
             .into_iter()
             .map(|(index, duration)| {
                 let at = self.stamps[index].unwrap_or(Duration::ZERO);
+                (index, at.as_micros() as u64, duration.as_micros() as u64)
+            })
+            .collect()
+    }
+
+    /// The per-stage breakdown as JSON — what `?trace=1` inlines into a
+    /// predict/explain response. `/debug/slow` serves the same shape per
+    /// trace.
+    pub fn stages_json(&self) -> JsonValue {
+        stages_to_json(&self.stage_rows())
+    }
+}
+
+/// Stage rows as a JSON array of `{stage, at_us, dur_us}` in stamp order:
+/// the absolute offset from parse completion and the stage duration.
+fn stages_to_json(rows: &[(usize, u64, u64)]) -> JsonValue {
+    JsonValue::Array(
+        rows.iter()
+            .map(|&(index, at_us, dur_us)| {
                 JsonValue::object(vec![
                     ("stage", JsonValue::string(STAGE_NAMES[index])),
-                    ("at_us", JsonValue::Number(at.as_micros() as f64)),
-                    ("dur_us", JsonValue::Number(duration.as_micros() as f64)),
+                    ("at_us", JsonValue::Number(at_us as f64)),
+                    ("dur_us", JsonValue::Number(dur_us as f64)),
                 ])
             })
-            .collect();
-        JsonValue::Array(stages)
-    }
+            .collect(),
+    )
 }
 
 /// A finalized trace retained by the slow ring: everything `/debug/slow`
@@ -439,7 +455,7 @@ impl RequestTrace {
 #[derive(Debug, Clone)]
 struct SlowEntry {
     id: u64,
-    endpoint: &'static str,
+    endpoint: Endpoint,
     kind: Option<String>,
     total_us: u64,
     /// `(stage_index, at_us, dur_us)` in stamp order.
@@ -478,14 +494,7 @@ impl SlowTraceBuffer {
             endpoint: trace.endpoint,
             kind: trace.kind.clone(),
             total_us,
-            stages: trace
-                .stage_durations()
-                .into_iter()
-                .map(|(index, duration)| {
-                    let at = trace.stamps[index].unwrap_or(Duration::ZERO);
-                    (index, at.as_micros() as u64, duration.as_micros() as u64)
-                })
-                .collect(),
+            stages: trace.stage_rows(),
         };
         let mut entries = self.entries.lock().unwrap();
         entries.push(entry);
@@ -515,20 +524,9 @@ impl SlowTraceBuffer {
         let traces: Vec<JsonValue> = entries
             .into_iter()
             .map(|entry| {
-                let stages: Vec<JsonValue> = entry
-                    .stages
-                    .iter()
-                    .map(|&(index, at_us, dur_us)| {
-                        JsonValue::object(vec![
-                            ("stage", JsonValue::string(STAGE_NAMES[index])),
-                            ("at_us", JsonValue::Number(at_us as f64)),
-                            ("dur_us", JsonValue::Number(dur_us as f64)),
-                        ])
-                    })
-                    .collect();
                 JsonValue::object(vec![
                     ("trace_id", JsonValue::string(format!("{:016x}", entry.id))),
-                    ("endpoint", JsonValue::string(entry.endpoint)),
+                    ("endpoint", JsonValue::string(entry.endpoint.name())),
                     (
                         "model",
                         match entry.kind {
@@ -537,7 +535,7 @@ impl SlowTraceBuffer {
                         },
                     ),
                     ("total_us", JsonValue::Number(entry.total_us as f64)),
-                    ("stages", JsonValue::Array(stages)),
+                    ("stages", stages_to_json(&entry.stages)),
                 ])
             })
             .collect();
@@ -557,26 +555,15 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Endpoint names in stable order — indexes into [`Obs`]'s per-endpoint stage
-/// histogram table and label values in the Prometheus exposition.
-pub const ENDPOINT_NAMES: [&str; 7] = [
-    "predict",
-    "explain",
-    "reload",
-    "healthz",
-    "metrics",
-    "debug_slow",
-    "other",
-];
-
 /// The per-server observability state: the trace-id mint, per-endpoint ×
 /// per-stage duration histograms, and the slow-trace ring. Lives inside
 /// [`ServeMetrics`](crate::metrics::ServeMetrics) so every layer that already
 /// holds the metrics sink can stamp and finalize traces.
 pub struct Obs {
     trace_counter: AtomicU64,
-    /// `[endpoint][stage]` duration histograms (µs).
-    endpoint_stages: Vec<[LogHistogram; N_STAMPS]>,
+    /// `[endpoint][stage]` duration histograms (µs), indexed by
+    /// [`Endpoint::index`].
+    endpoint_stages: [[LogHistogram; N_STAMPS]; Endpoint::ALL.len()],
     slow: SlowTraceBuffer,
 }
 
@@ -599,10 +586,7 @@ impl Obs {
     pub fn new() -> Self {
         Self {
             trace_counter: AtomicU64::new(0),
-            endpoint_stages: ENDPOINT_NAMES
-                .iter()
-                .map(|_| std::array::from_fn(|_| LogHistogram::new()))
-                .collect(),
+            endpoint_stages: Endpoint::ALL.map(|_| std::array::from_fn(|_| LogHistogram::new())),
             slow: SlowTraceBuffer::new(SLOW_TRACES),
         }
     }
@@ -614,23 +598,11 @@ impl Obs {
         RequestTrace::new(mix64(seq), started)
     }
 
-    /// Traces minted so far.
-    pub fn traces_started(&self) -> u64 {
-        self.trace_counter.load(Ordering::Relaxed)
-    }
-
-    fn endpoint_index(endpoint: &str) -> usize {
-        ENDPOINT_NAMES
-            .iter()
-            .position(|&name| name == endpoint)
-            .unwrap_or(ENDPOINT_NAMES.len() - 1)
-    }
-
     /// Fold a completed trace into the per-endpoint stage histograms and
     /// offer it to the slow ring. Called by the poller when the last response
     /// byte is written; costs a handful of atomic adds for fast traces.
     pub fn finalize(&self, trace: &RequestTrace) {
-        let stages = &self.endpoint_stages[Self::endpoint_index(trace.endpoint)];
+        let stages = &self.endpoint_stages[trace.endpoint.index()];
         for (index, duration) in trace.stage_durations() {
             stages[index].record(duration.as_micros() as u64);
         }
@@ -642,81 +614,10 @@ impl Obs {
         &self.slow
     }
 
-    /// Snapshot of one endpoint × stage histogram (µs), for tests and the
-    /// bench.
-    pub fn stage_snapshot(&self, endpoint: &str, stage: usize) -> HistogramSnapshot {
-        self.endpoint_stages[Self::endpoint_index(endpoint)][stage].snapshot()
-    }
-
-    /// The `stages` section of the JSON `/metrics` document:
-    /// `{endpoint: {stage: {count, p50, p99, p999, …}}}` for endpoints with
-    /// at least one finalized trace.
-    pub fn stages_json(&self) -> JsonValue {
-        let fields: Vec<(String, JsonValue)> = ENDPOINT_NAMES
-            .iter()
-            .enumerate()
-            .filter_map(|(endpoint_index, &endpoint)| {
-                let stages: Vec<(String, JsonValue)> = self.endpoint_stages[endpoint_index]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, histogram)| histogram.count() > 0)
-                    .map(|(stage, histogram)| {
-                        (
-                            STAGE_NAMES[stage].to_string(),
-                            histogram.snapshot().to_json(),
-                        )
-                    })
-                    .collect();
-                (!stages.is_empty()).then(|| (endpoint.to_string(), JsonValue::Object(stages)))
-            })
-            .collect();
-        JsonValue::Object(fields)
-    }
-
-    /// Append the per-endpoint stage histograms to a Prometheus exposition
-    /// (`holistix_stage_duration_us{endpoint,stage}`).
-    pub fn render_prometheus_into(&self, out: &mut String) {
-        let mut any = false;
-        for (endpoint_index, &endpoint) in ENDPOINT_NAMES.iter().enumerate() {
-            for (stage, histogram) in self.endpoint_stages[endpoint_index].iter().enumerate() {
-                let snapshot = histogram.snapshot();
-                if snapshot.count() == 0 {
-                    continue;
-                }
-                if !any {
-                    out.push_str(
-                        "# HELP holistix_stage_duration_us Per-stage request latency in microseconds.\n# TYPE holistix_stage_duration_us histogram\n",
-                    );
-                    any = true;
-                }
-                let labels = format!("endpoint=\"{endpoint}\",stage=\"{}\"", STAGE_NAMES[stage]);
-                append_histogram(out, "holistix_stage_duration_us", &labels, &snapshot);
-            }
-        }
-    }
-}
-
-/// Append one histogram's cumulative `_bucket` / `_sum` / `_count` series
-/// with the given extra labels (no trailing comma; may be empty).
-pub fn append_histogram(out: &mut String, name: &str, labels: &str, snapshot: &HistogramSnapshot) {
-    let sep = if labels.is_empty() { "" } else { "," };
-    let mut cumulative = 0u64;
-    for (upper, count) in snapshot.nonzero_buckets() {
-        cumulative += count;
-        out.push_str(&format!(
-            "{name}_bucket{{{labels}{sep}le=\"{upper}\"}} {cumulative}\n"
-        ));
-    }
-    out.push_str(&format!(
-        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}\n",
-        snapshot.count()
-    ));
-    if labels.is_empty() {
-        out.push_str(&format!("{name}_sum {}\n", snapshot.sum()));
-        out.push_str(&format!("{name}_count {}\n", snapshot.count()));
-    } else {
-        out.push_str(&format!("{name}_sum{{{labels}}} {}\n", snapshot.sum()));
-        out.push_str(&format!("{name}_count{{{labels}}} {}\n", snapshot.count()));
+    /// Snapshot of one endpoint × stage histogram (µs), for the `/metrics`
+    /// walk, tests and the bench.
+    pub fn stage_snapshot(&self, endpoint: Endpoint, stage: usize) -> HistogramSnapshot {
+        self.endpoint_stages[endpoint.index()][stage].snapshot()
     }
 }
 
@@ -1031,7 +932,7 @@ mod tests {
         // 100 traces with totals 1..=100 ms: only the 32 slowest survive.
         for ms in 1..=100u64 {
             let mut trace = obs.begin_trace(started);
-            trace.endpoint = "predict";
+            trace.endpoint = Endpoint::Predict;
             trace.stamp_at(TraceStamp::WriteDone, started + Duration::from_millis(ms));
             obs.finalize(&trace);
         }
@@ -1066,41 +967,31 @@ mod tests {
         let obs = Obs::new();
         let started = Instant::now();
         let mut trace = obs.begin_trace(started);
-        trace.endpoint = "predict";
+        trace.endpoint = Endpoint::Predict;
         trace.stamp_at(
             TraceStamp::HandlerStart,
             started + Duration::from_micros(10),
         );
         trace.stamp_at(TraceStamp::WriteDone, started + Duration::from_micros(50));
         obs.finalize(&trace);
-        let dispatch = obs.stage_snapshot("predict", TraceStamp::HandlerStart as usize);
+        let dispatch = obs.stage_snapshot(Endpoint::Predict, TraceStamp::HandlerStart as usize);
         assert_eq!(dispatch.count(), 1);
         assert_eq!(dispatch.percentile(0.5), Some(10));
-        let write = obs.stage_snapshot("predict", TraceStamp::WriteDone as usize);
+        let write = obs.stage_snapshot(Endpoint::Predict, TraceStamp::WriteDone as usize);
         assert_eq!(write.percentile(0.5), Some(40));
         // Other endpoints untouched.
-        assert_eq!(obs.stage_snapshot("healthz", 0).count(), 0);
-        let stages = obs.stages_json();
-        assert!(stages.get("predict").is_some());
-        assert_eq!(stages.get("healthz"), None);
+        assert_eq!(obs.stage_snapshot(Endpoint::Health, 0).count(), 0);
     }
 
     #[test]
     fn exposition_validator_accepts_own_output_and_rejects_breakage() {
-        let histogram = LogHistogram::new();
-        for v in [10u64, 200, 3_000] {
-            histogram.record(v);
+        let metrics = crate::metrics::ServeMetrics::new();
+        let lr = metrics.queue("LR", "classical");
+        for micros in [10u64, 200, 3_000] {
+            lr.record_enqueued();
+            lr.record_batch(1, &[micros], micros);
         }
-        let mut text = String::from(
-            "# HELP holistix_test_us A test histogram.\n# TYPE holistix_test_us histogram\n",
-        );
-        append_histogram(
-            &mut text,
-            "holistix_test_us",
-            "kind=\"LR\"",
-            &histogram.snapshot(),
-        );
-        text.push_str("# TYPE holistix_up gauge\nholistix_up 1\n");
+        let text = metrics.render_prometheus(None);
         validate_exposition(&text).expect("well-formed exposition");
 
         // A TYPE line with no samples.

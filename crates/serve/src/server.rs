@@ -328,7 +328,7 @@ fn serve_loop(
 
     std::thread::scope(|scope| {
         for queue in queues {
-            scope.spawn(move || queue.run(registry, metrics));
+            scope.spawn(move || queue.run(registry));
         }
 
         for _ in 0..n_handlers {
@@ -691,7 +691,7 @@ impl<'a> Poller<'a> {
 
 fn route(request: &Request, context: &RequestContext<'_>, trace: &mut RequestTrace) -> Response {
     let endpoint = Endpoint::resolve(&request.method, &request.path);
-    trace.endpoint = endpoint.name();
+    trace.endpoint = endpoint;
     context.metrics.record_request(endpoint);
     match endpoint {
         Endpoint::Health => handle_healthz(context),
@@ -701,13 +701,13 @@ fn route(request: &Request, context: &RequestContext<'_>, trace: &mut RequestTra
             let fit = context.registry.current().fit_stats();
             // Content negotiation: Prometheus text when asked for via
             // `?format=prometheus` or an `Accept` admitting text/plain; the
-            // JSON document otherwise (shape unchanged since PR 4).
+            // JSON document otherwise.
             if request.query_param("format") == Some("prometheus")
                 || request.accept.to_ascii_lowercase().contains("text/plain")
             {
                 Response::text(200, context.metrics.render_prometheus(Some(&fit)))
             } else {
-                Response::ok(context.metrics.snapshot_with_fit(&fit).to_string())
+                Response::ok(context.metrics.snapshot(Some(&fit)).to_string())
             }
         }
         Endpoint::DebugSlow => {
@@ -1248,7 +1248,7 @@ mod tests {
         assert_eq!(status, 413, "{body}");
         assert!(body.contains("distinct words"));
 
-        let snapshot = server.metrics().snapshot();
+        let snapshot = server.metrics().snapshot(None);
         let requests = snapshot.get("requests").unwrap();
         let errors = requests.get("errors").unwrap().as_f64().unwrap();
         let total = requests.get("total").unwrap().as_f64().unwrap();

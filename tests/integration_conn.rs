@@ -2,8 +2,8 @@
 //! TCP clients that exercise exactly the cases a blocking-read server never
 //! sees — two requests in one segment (pipelining), one byte per segment
 //! (incremental framing), hostile framing (oversized heads, garbage request
-//! lines) that must draw a `400` without taking the poller down, and the
-//! keep-alive client's round-trip latency.
+//! lines) that must draw a `400` without taking the poller down, and
+//! round-trip latency with Nagle's algorithm off on both ends.
 
 use holistix::{BaselineKind, Scorer, SpeedProfile};
 use holistix_corpus::json::JsonValue;
@@ -173,7 +173,7 @@ fn oversized_and_malformed_requests_get_400_without_killing_the_poller() {
     assert_eq!(status, 200, "{body}");
     let health = JsonValue::parse(&body).unwrap();
     assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
-    let snapshot = server.metrics().snapshot();
+    let snapshot = server.metrics().snapshot(None);
     let errors = snapshot
         .get("requests")
         .unwrap()
@@ -192,20 +192,7 @@ fn oversized_and_malformed_requests_get_400_without_killing_the_poller() {
 /// delays by ~40 ms.
 #[test]
 fn keep_alive_round_trips_through_http_client_do_not_stall() {
-    let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
-        kinds: vec![BaselineKind::LogisticRegression],
-        profile: SpeedProfile::Tiny,
-        training_posts: 120,
-        seed: 29,
-    });
-    let config = ServeConfig {
-        batch: BatchConfig {
-            max_batch: 8,
-            max_wait: Duration::ZERO,
-        },
-        ..ServeConfig::default()
-    };
-    let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
+    let server = serve_lr(Duration::ZERO);
     let mut client = HttpClient::connect(server.addr()).expect("connect");
     let body = format!(
         "{{\"text\":{}}}",
@@ -223,6 +210,58 @@ fn keep_alive_round_trips_through_http_client_do_not_stall() {
     assert!(
         mean < Duration::from_millis(10),
         "mean keep-alive round trip {mean:?}: the client is stalling"
+    );
+    server.shutdown();
+}
+
+/// An LR server at the Tiny profile with the given batch window.
+fn serve_lr(max_wait: Duration) -> ServerHandle {
+    let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
+        kinds: vec![BaselineKind::LogisticRegression],
+        profile: SpeedProfile::Tiny,
+        training_posts: 120,
+        seed: 29,
+    });
+    let config = ServeConfig {
+        batch: BatchConfig {
+            max_batch: 8,
+            max_wait,
+        },
+        ..ServeConfig::default()
+    };
+    serve("127.0.0.1:0", registry, config).expect("bind loopback")
+}
+
+/// The server half of the Nagle bar: accepted sockets set `TCP_NODELAY`.
+/// Each round pipelines `/healthz` and `/predict` in one write. The healthz
+/// answer goes out at once; the predict answer follows after the batch
+/// window, while the first is still unACKed. With Nagle on, that second
+/// response waits for the client's delayed ACK (~40 ms).
+#[test]
+fn pipelined_responses_are_not_held_for_the_clients_delayed_ack() {
+    let server = serve_lr(Duration::from_millis(5));
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let round = format!(
+        "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n{}",
+        predict_request("i feel so alone lately")
+    );
+    let mut responses = ResponseParser::new();
+    const ROUNDS: u32 = 50;
+    let started = Instant::now();
+    for _ in 0..ROUNDS {
+        (&stream).write_all(round.as_bytes()).expect("write");
+        for what in ["healthz", "predict"] {
+            let (status, body, _) = responses.read_from(&mut &stream).expect(what);
+            assert_eq!(status, 200, "{what}: {body}");
+        }
+    }
+    let mean = started.elapsed() / ROUNDS;
+    assert!(
+        mean < Duration::from_millis(20),
+        "mean pipelined round {mean:?}: the server is stalling on Nagle"
     );
     server.shutdown();
 }

@@ -239,6 +239,46 @@ fn metrics_serves_json_and_prometheus_with_equal_counters() {
     server.shutdown();
 }
 
+/// Every family the benchmark harness reads from `/metrics?format=prometheus`
+/// is in the scrape after one traced `/predict`. `validate_exposition`
+/// guarantees each `# TYPE` line has samples.
+#[test]
+fn scrape_after_one_traced_predict_carries_every_benchmark_family() {
+    let server = start_server();
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let body = format!(
+        "{{\"text\":{}}}",
+        holistix::corpus::json::json_escape("i cannot sleep and work is piling up")
+    );
+    let (status, body) = client
+        .request("POST", "/predict?trace=1", Some(&body))
+        .expect("traced predict");
+    assert_eq!(status, 200, "{body}");
+    let (status, prom) = client
+        .request("GET", "/metrics?format=prometheus", None)
+        .expect("scrape");
+    assert_eq!(status, 200);
+    validate_exposition(&prom).expect("valid exposition");
+    for family in [
+        "holistix_stage_duration_us",
+        "holistix_request_latency_us",
+        "holistix_requests_total",
+        "holistix_poll_wakeups_total",
+        "holistix_pipelined_requests_total",
+        "holistix_os_threads",
+        "holistix_queue_batch_size",
+        "holistix_queue_score_us",
+        "holistix_shed_total",
+    ] {
+        assert!(
+            prom.lines()
+                .any(|line| line.starts_with(&format!("# TYPE {family} "))),
+            "scrape is missing {family}:\n{prom}"
+        );
+    }
+    server.shutdown();
+}
+
 /// `/healthz` reports uptime and the baked-in build identity.
 #[test]
 fn healthz_reports_uptime_and_build() {
