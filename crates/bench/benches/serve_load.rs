@@ -13,13 +13,14 @@
 //! `"serve_load"` key (preserving whatever other benches wrote) so
 //! successive runs can be compared.
 //!
-//! The server runs with deliberately finite admission bounds — more handler
-//! threads than queue slots, so sustained over-capacity concurrency hits the
-//! per-kind cap and shows up as counted 429s (the graceful failure mode this
-//! layer exists to provide) rather than as unbounded queue growth. Each
-//! request enqueues one text and blocks its handler, so queue depth tracks
-//! in-flight concurrency: with a cap below the handler count, shed rate
-//! rises exactly when offered load exceeds what the handlers can drain.
+//! The server runs with a deliberately small per-kind queue cap, so
+//! sustained over-capacity load hits it and shows up as counted 429s (the
+//! graceful failure mode this layer exists to provide) rather than as
+//! unbounded queue growth. Queue depth counts texts in flight — each request
+//! here carries one text and holds its slot from submit until its batch is
+//! scored — and concurrency is bounded by connections × `MAX_PIPELINED`
+//! (4 × 32), far above the cap: once offered load exceeds what the LR queue
+//! drains, depth pins at the cap and the shed rate rises.
 
 use holistix::corpus::JsonValue;
 use holistix::prelude::*;
@@ -43,10 +44,9 @@ const MAX_STEPS: usize = 12;
 const STEP_DURATION: Duration = Duration::from_secs(2);
 /// Connections sharing each step's schedule.
 const CONNECTIONS: usize = 4;
-/// Handler threads; deliberately more than the queue cap (below) so
-/// over-capacity concurrency sheds instead of queueing invisibly.
-const HANDLERS: usize = 16;
-/// Per-kind queue cap: the shed gate. Each in-flight request holds one slot.
+/// Per-kind queue cap in texts: the shed gate. Each in-flight request holds
+/// one slot; connections × pipelining depth allow far more in flight, so
+/// over-capacity load sheds instead of queueing invisibly.
 const QUEUE_CAP: usize = 8;
 /// SLO: p99 request latency ceiling (server-side, µs).
 const SLO_P99_US: u64 = 50_000;
@@ -68,15 +68,14 @@ fn main() {
         "127.0.0.1:0",
         registry,
         ServeConfig {
-            handlers: HANDLERS,
             batch: BatchConfig {
                 max_batch: 64,
                 max_wait: Duration::from_millis(1),
             },
-            // Queue cap below the handler count: each request holds a slot
-            // while a handler scores it, so once offered load exceeds what
-            // the handlers drain, depth pins at the cap and the overflow is
-            // counted as 429s — the shed-rate SLO has something to bind on.
+            // A queue cap far below the possible in-flight count: once
+            // offered load exceeds what the queue drains, depth pins at the
+            // cap and the overflow is counted as 429s — the shed-rate SLO
+            // has something to bind on.
             admission: AdmissionConfig {
                 max_queue_depth: QUEUE_CAP,
                 explain_shed_depth: QUEUE_CAP * 3 / 4,

@@ -16,7 +16,7 @@
 //!    (when [`AdmissionConfig::rate_limit`] is set): `burst` tokens capacity,
 //!    refilled at `rate_per_s` tokens per second, one token per request. A
 //!    request that finds the bucket empty is answered `429` with
-//!    `Retry-After` directly by the poller — it never reaches a handler.
+//!    `Retry-After` directly by the poller, before it is routed.
 //! 3. **Graceful degradation** — `/explain` costs hundreds of LIME scoring
 //!    calls per request, so it sheds first: once aggregate queue depth
 //!    reaches [`AdmissionConfig::explain_shed_depth`] (below the intake
@@ -155,8 +155,8 @@ impl TokenBucket {
 }
 
 /// The shared admission policy: one per server, consulted by pollers (intake
-/// valve, per-connection buckets) and handlers (explain shedding, retry
-/// hints). All live state it reads — aggregate queue depth — and all state it
+/// valve, per-connection buckets, retry hints) and handlers (explain
+/// shedding). All live state it reads — aggregate queue depth — and all state it
 /// writes — the valve gauge, shed counters — lives in [`ServeMetrics`], so
 /// `/metrics` and the policy can never disagree.
 pub struct Admission {

@@ -1,23 +1,25 @@
 //! Per-kind batch queues: cross-request micro-batching without head-of-line
 //! blocking between models.
 //!
-//! Request worker threads never score texts themselves: they enqueue [`Job`]s
-//! and block on a per-job reply channel. The original design ran **one**
-//! batcher thread over one queue for every model, which meant a 50 ms
-//! transformer batch stalled the 200 µs logistic-regression batch queued
-//! behind it. Since the `Scorer` redesign each registered kind owns a
-//! [`BatchQueue`]: its own `mpsc` channel, its own drain loop on its own
-//! thread, and its own [`BatchConfig`] sized from the scorer's
+//! Nothing waits on a batch queue: a poller submits each `/predict` as one
+//! `Job` (its texts plus a `Reply` that knows where the answer goes) and
+//! goes back to its sockets. The original design ran **one** batcher thread
+//! over one queue for every model, which meant a 50 ms transformer batch
+//! stalled the 200 µs logistic-regression batch queued behind it. Since the
+//! `Scorer` redesign each registered kind owns a [`BatchQueue`]: its own
+//! `mpsc` channel, its own drain loop on its own thread, and its own
+//! [`BatchConfig`] sized from the scorer's
 //! [`cost_hint`](holistix::Scorer::cost_hint) — expensive scorers coalesce
 //! over wider windows (waiting is cheap relative to their batch service
 //! time), cheap scorers keep the low-latency window. Queues share nothing but
 //! the registry handle and the metrics sink, so saturating one cannot delay
 //! another.
 //!
-//! Each drain loop collects up to [`BatchConfig::max_batch`] texts (or
-//! whatever has accumulated when [`BatchConfig::max_wait`] elapses after the
-//! first), scores them with one [`Scorer::probabilities`] call, and fans the
-//! per-row results back out to the waiting workers.
+//! Each drain loop collects jobs until the batch holds
+//! [`BatchConfig::max_batch`] texts (or [`BatchConfig::max_wait`] elapses
+//! after the first job), scores them with one
+//! [`Scorer::probabilities`](holistix::Scorer::probabilities) call, and hands
+//! each job its slice of the rows. A request is never split across batches.
 //!
 //! Batching is invisible in the results: `probabilities` rows depend only on
 //! their own text (a property the core pipeline tests pin), so coalescing
@@ -25,15 +27,17 @@
 
 use crate::metrics::{QueueMetrics, ServeMetrics};
 use crate::registry::SharedRegistry;
-use holistix::{BaselineKind, Scorer};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use holistix::BaselineKind;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Micro-batching knobs for one queue.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Largest batch the scheduler assembles before scoring.
+    /// Texts at which the drain loop stops collecting and scores. A request
+    /// is never split across batches: the one that crosses this count joins
+    /// whole, so a batch may exceed it by up to one request's texts less one.
     pub max_batch: usize,
     /// How long the scheduler waits for more texts after the first one arrives.
     pub max_wait: Duration,
@@ -68,43 +72,37 @@ impl BatchConfig {
     }
 }
 
-/// One text awaiting scoring, with the channel its probabilities go back on.
-pub(crate) struct Job {
-    pub text: String,
-    pub reply: Sender<JobReply>,
-    /// When the job entered its queue, for per-queue latency percentiles.
-    pub enqueued: Instant,
+/// Where one job's outcome goes (the server's turns it into a response for
+/// the owning poller). The drain loop calls [`send`](Self::send) once per job.
+pub(crate) trait Reply: Send {
+    /// Deliver the job's rows, or why they could not be scored.
+    fn send(self, outcome: Result<Scored<'_>, PredictError>);
 }
 
-/// One scored row on its way back to the waiting worker, carrying the batch
-/// timing the worker stamps into its request trace.
-pub(crate) struct JobReply {
-    /// The probability row (empty = the model was not loaded).
-    pub row: Vec<f64>,
+/// One job's share of a scored batch.
+pub(crate) struct Scored<'a> {
+    /// One probability row per text of the job, in request order.
+    pub rows: &'a [Vec<f64>],
     /// When the drain loop pulled the batch out of the queue.
     pub drained: Instant,
     /// When the batch's `probabilities` call returned.
     pub scored: Instant,
 }
 
-/// Batch-stage timing for one `predict_many` call: when its texts left the
-/// queue and when scoring finished. A multi-text request may span several
-/// batches; this is the envelope (earliest drain, latest score), which is
-/// what the request trace wants — the request's queue wait ends at the first
-/// drain and its scoring ends at the last row.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchTiming {
-    /// Earliest batch drain among the request's texts.
-    pub drained: Instant,
-    /// Latest scoring completion among the request's texts.
-    pub scored: Instant,
+/// One request's texts awaiting scoring, with the reply that answers it.
+pub(crate) struct Job<R> {
+    texts: Vec<String>,
+    /// When the job entered its queue, for per-queue latency percentiles.
+    enqueued: Instant,
+    reply: R,
 }
 
-/// Why [`BatcherHandle::predict_many`] refused or failed. Typed so the server
-/// can map each cause to the right status code: [`QueueFull`](Self::QueueFull)
-/// is `429 + Retry-After` (the server is healthy but full — retry), while
-/// [`NotLoaded`](Self::NotLoaded) and [`Shutdown`](Self::Shutdown) are `503`
-/// (the model or server is unavailable) and [`Failed`](Self::Failed) is `500`.
+/// Why `BatcherHandle::submit` refused a job, or why the drain loop could
+/// not score it. Typed so the server can map each cause to the right status
+/// code: [`QueueFull`](Self::QueueFull) is `429 + Retry-After` (the server is
+/// healthy but full — retry), while [`NotLoaded`](Self::NotLoaded) and
+/// [`Shutdown`](Self::Shutdown) are `503` (the model or server is
+/// unavailable).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PredictError {
     /// The kind's batch queue was at its configured depth cap; nothing was
@@ -120,126 +118,86 @@ pub enum PredictError {
     NotLoaded(String),
     /// The server is shutting down (the queue's receiver is gone).
     Shutdown,
-    /// The queue's drain loop died mid-request.
-    Failed,
 }
 
 impl std::fmt::Display for PredictError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PredictError::QueueFull { kind, depth } => {
-                write!(f, "queue for model {kind:?} is full ({depth} jobs queued)")
+                write!(f, "queue for model {kind:?} is full ({depth} texts queued)")
             }
             PredictError::NotLoaded(kind) => write!(f, "model {kind:?} is not loaded"),
             PredictError::Shutdown => write!(f, "server is shutting down"),
-            PredictError::Failed => write!(f, "scoring failed"),
         }
     }
 }
 
 /// The sending half of one kind's queue.
-struct QueueSender {
+struct QueueSender<R> {
     kind: BaselineKind,
-    sender: Sender<Job>,
+    sender: Sender<Job<R>>,
     metrics: Arc<QueueMetrics>,
-    /// Admission cap: most jobs this queue may hold, queued or scoring.
+    /// Admission cap: most texts this queue may hold, queued or scoring.
     max_depth: u64,
 }
 
-/// Cloneable producer handle the request workers use to hand texts to the
-/// per-kind queues and wait for probabilities.
-#[derive(Clone)]
-pub struct BatcherHandle {
-    queues: Arc<Vec<QueueSender>>,
+/// The producer side of every kind's queue, shared by the pollers.
+pub(crate) struct BatcherHandle<R> {
+    queues: Vec<QueueSender<R>>,
 }
 
-impl BatcherHandle {
-    fn queue(&self, kind: BaselineKind) -> Option<&QueueSender> {
-        self.queues.iter().find(|q| q.kind == kind)
-    }
-
-    /// Score `texts` with the warm model for `kind` via its batch queue. All
-    /// jobs are enqueued before the first reply is awaited, so a multi-text
-    /// request forms (or joins) a batch as a whole. Returns the probability
-    /// rows plus the batch timing envelope for the caller's request trace
-    /// (`None` when `texts` was empty — nothing was ever queued).
+impl<R: Reply> BatcherHandle<R> {
+    /// Put one request's `texts` on `kind`'s queue without waiting; the drain
+    /// loop answers through `reply`. A refused job's reply comes back unsent.
     ///
-    /// Admission is all-or-nothing: the whole request's worth of slots is
-    /// reserved against the queue's depth cap up front
-    /// ([`QueueMetrics::try_admit`]), so a request never half-enqueues and a
-    /// rejection ([`PredictError::QueueFull`]) leaves the queue untouched.
-    pub fn predict_many(
+    /// Admission is all-or-nothing: the whole request's texts are reserved
+    /// against the queue's depth cap up front ([`QueueMetrics::try_admit`]),
+    /// so a rejection ([`PredictError::QueueFull`]) leaves the queue
+    /// untouched.
+    pub(crate) fn submit(
         &self,
         kind: BaselineKind,
         texts: Vec<String>,
-    ) -> Result<(Vec<Vec<f64>>, Option<BatchTiming>), PredictError> {
-        let queue = self
-            .queue(kind)
-            .ok_or_else(|| PredictError::NotLoaded(kind.name().to_string()))?;
-        let jobs = texts.len() as u64;
-        // Depth counts up strictly before the drain loop can see any job:
+        reply: R,
+    ) -> Result<(), (PredictError, R)> {
+        let Some(queue) = self.queues.iter().find(|q| q.kind == kind) else {
+            return Err((PredictError::NotLoaded(kind.name()), reply));
+        };
+        // Depth counts up strictly before the drain loop can see the job:
         // incrementing after send() would let a fast drain score the job and
         // decrement first, wrapping the unsigned depth gauge.
-        if !queue.metrics.try_admit(jobs, queue.max_depth) {
-            return Err(PredictError::QueueFull {
-                kind: kind.name().to_string(),
+        if !queue.metrics.try_admit(texts.len() as u64, queue.max_depth) {
+            let error = PredictError::QueueFull {
+                kind: kind.name(),
                 depth: queue.metrics.depth(),
-            });
+            };
+            return Err((error, reply));
         }
-        let mut receivers = Vec::with_capacity(texts.len());
-        for (sent, text) in texts.into_iter().enumerate() {
-            let (reply, receiver) = std::sync::mpsc::channel();
-            if queue
-                .sender
-                .send(Job {
-                    text,
-                    reply,
-                    enqueued: Instant::now(),
-                })
-                .is_err()
-            {
-                // Release the reservation for this job and every unsent one;
-                // already-sent jobs are torn down by the shutdown drain.
-                queue.metrics.record_dropped((jobs as usize) - sent);
-                return Err(PredictError::Shutdown);
-            }
-            receivers.push(receiver);
-        }
-        let mut timing: Option<BatchTiming> = None;
-        let mut rows = Vec::with_capacity(receivers.len());
-        for rx in receivers {
-            let reply = rx.recv().map_err(|_| PredictError::Failed)?;
-            if reply.row.is_empty() {
-                return Err(PredictError::NotLoaded(kind.name().to_string()));
-            }
-            timing = Some(match timing {
-                None => BatchTiming {
-                    drained: reply.drained,
-                    scored: reply.scored,
-                },
-                Some(t) => BatchTiming {
-                    drained: t.drained.min(reply.drained),
-                    scored: t.scored.max(reply.scored),
-                },
-            });
-            rows.push(reply.row);
-        }
-        Ok((rows, timing))
+        let job = Job {
+            texts,
+            enqueued: Instant::now(),
+            reply,
+        };
+        queue.sender.send(job).map_err(|refused| {
+            let job = refused.0;
+            queue.metrics.record_dropped(job.texts.len());
+            (PredictError::Shutdown, job.reply)
+        })
     }
 }
 
 /// One kind's queue: the receiving half plus everything its drain loop needs.
 /// Built by [`build_queues`]; the server spawns [`BatchQueue::run`] on its own
 /// scoped thread.
-pub(crate) struct BatchQueue {
+pub(crate) struct BatchQueue<R> {
     kind: BaselineKind,
-    receiver: Receiver<Job>,
+    receiver: Receiver<Job<R>>,
     config: BatchConfig,
     metrics: Arc<QueueMetrics>,
 }
 
-impl BatchQueue {
-    /// The drain loop: recv → coalesce → score → fan out, until every producer
+impl<R: Reply> BatchQueue<R> {
+    /// The drain loop: recv → coalesce → score → reply, until every producer
     /// handle is dropped. The scorer is resolved once per batch from the
     /// shared registry, so a `/reload` swap lands between batches: an
     /// assembled batch always finishes on the scorer it started with.
@@ -247,76 +205,80 @@ impl BatchQueue {
         let max_batch = self.config.max_batch.max(1);
         while let Ok(first) = self.receiver.recv() {
             let deadline = Instant::now() + self.config.max_wait;
+            let mut texts = first.texts.len();
             let mut jobs = vec![first];
-            while jobs.len() < max_batch {
+            while texts < max_batch {
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
                     break;
                 }
                 match self.receiver.recv_timeout(remaining) {
-                    Ok(job) => jobs.push(job),
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+                    Ok(job) => {
+                        texts += job.texts.len();
+                        jobs.push(job);
+                    }
+                    Err(_) => break,
                 }
             }
-            self.score_batch(&jobs, registry);
+            self.score_batch(jobs, registry);
         }
     }
 
     /// Score one assembled batch with this queue's scorer (one batched
-    /// `probabilities` call) and reply to every job, carrying the batch's
-    /// drain and score instants so each waiting worker can stamp its trace.
-    fn score_batch(&self, jobs: &[Job], registry: &SharedRegistry) {
+    /// `probabilities` call) and send every job its rows with the batch's
+    /// drain and score instants. If scoring panics, the jobs drop unanswered
+    /// and each reply's own drop answers for it.
+    fn score_batch(&self, jobs: Vec<Job<R>>, registry: &SharedRegistry) {
         let drained = Instant::now();
-        let (rows, scored) = match registry.current().get(self.kind) {
-            Some(scorer) => {
-                let rows = score_jobs(scorer.as_ref(), jobs);
-                let scored = Instant::now();
-                let waits: Vec<u64> = jobs
-                    .iter()
-                    .map(|j| drained.duration_since(j.enqueued).as_micros() as u64)
-                    .collect();
-                let score_us = scored.duration_since(drained).as_micros() as u64;
-                self.metrics.record_batch(jobs.len(), &waits, score_us);
-                (rows, scored)
+        let n_texts: usize = jobs.iter().map(|job| job.texts.len()).sum();
+        // The queue exists because the startup registry had this kind, and
+        // refits keep kinds — so a miss only happens if a swapped-in registry
+        // dropped the model. No model scored these texts: record no batch.
+        let Some(scorer) = registry.current().get(self.kind) else {
+            self.metrics.record_dropped(n_texts);
+            for job in jobs {
+                job.reply
+                    .send(Err(PredictError::NotLoaded(self.kind.name())));
             }
-            // The queue exists because the startup registry had this kind, and
-            // refits keep kinds — so this only happens if a swapped-in registry
-            // dropped the model. Answer with the empty-row sentinel (which
-            // predict_many surfaces as an error) rather than hanging workers,
-            // and record no batch — no model scored these texts.
-            None => {
-                self.metrics.record_dropped(jobs.len());
-                (vec![Vec::new(); jobs.len()], drained)
-            }
+            return;
         };
-        for (job, row) in jobs.iter().zip(rows) {
-            // A dropped receiver just means the client went away mid-request.
-            let _ = job.reply.send(JobReply {
-                row,
+        let texts: Vec<&str> = jobs
+            .iter()
+            .flat_map(|job| job.texts.iter().map(String::as_str))
+            .collect();
+        let rows = scorer.probabilities(&texts);
+        let scored = Instant::now();
+        let waits: Vec<u64> = jobs
+            .iter()
+            .map(|job| drained.duration_since(job.enqueued).as_micros() as u64)
+            .collect();
+        let score_us = scored.duration_since(drained).as_micros() as u64;
+        self.metrics.record_batch(n_texts, &waits, score_us);
+        let mut start = 0;
+        for job in jobs {
+            let end = start + job.texts.len();
+            job.reply.send(Ok(Scored {
+                rows: &rows[start..end],
                 drained,
                 scored,
-            });
+            }));
+            start = end;
         }
     }
 }
 
-fn score_jobs(scorer: &dyn Scorer, jobs: &[Job]) -> Vec<Vec<f64>> {
-    let texts: Vec<&str> = jobs.iter().map(|j| j.text.as_str()).collect();
-    scorer.probabilities(&texts)
-}
-
 /// Build one queue per registered scorer: the shared [`BatcherHandle`] for the
-/// worker pool and the [`BatchQueue`]s for the server to spawn, each queue's
+/// pollers and the [`BatchQueue`]s for the server to spawn, each queue's
 /// window sized from its scorer's cost hint via [`BatchConfig::sized_for`].
-/// `max_depth` is the per-kind admission cap
+/// `max_depth` is the per-kind admission cap in texts
 /// ([`AdmissionConfig::max_queue_depth`](crate::AdmissionConfig)); each kind
 /// gets its own budget, so one saturated queue sheds alone.
-pub(crate) fn build_queues(
+pub(crate) fn build_queues<R>(
     registry: &SharedRegistry,
     base: &BatchConfig,
     metrics: &ServeMetrics,
     max_depth: usize,
-) -> (BatcherHandle, Vec<BatchQueue>) {
+) -> (BatcherHandle<R>, Vec<BatchQueue<R>>) {
     let current = registry.current();
     let mut senders = Vec::new();
     let mut queues = Vec::new();
@@ -336,12 +298,7 @@ pub(crate) fn build_queues(
             metrics: queue_metrics,
         });
     }
-    (
-        BatcherHandle {
-            queues: Arc::new(senders),
-        },
-        queues,
-    )
+    (BatcherHandle { queues: senders }, queues)
 }
 
 #[cfg(test)]
@@ -349,6 +306,7 @@ mod tests {
     use super::*;
     use crate::registry::{ModelRegistry, RegistryConfig};
     use holistix::SpeedProfile;
+    use std::sync::mpsc;
 
     fn tiny_registry() -> ModelRegistry {
         ModelRegistry::fit_synthetic(&RegistryConfig {
@@ -359,31 +317,36 @@ mod tests {
         })
     }
 
-    /// Spawn every queue's drain loop in a thread scope, run `body` with
-    /// the handle, and join cleanly when the handle drops.
-    fn with_queues<F: FnOnce(&BatcherHandle) + Send>(
-        registry: &SharedRegistry,
-        base: &BatchConfig,
-        metrics: &ServeMetrics,
-        body: F,
-    ) {
-        let (handle, queues) = build_queues(registry, base, metrics, usize::MAX);
-        std::thread::scope(|scope| {
-            for queue in queues {
-                scope.spawn(move || queue.run(registry));
-            }
-            body(&handle);
-            drop(handle); // lets every drain loop exit
-        });
+    /// A job's outcome as the tests see it: owned rows plus the batch's
+    /// drain and score instants.
+    type Outcome = Result<(Vec<Vec<f64>>, Instant, Instant), PredictError>;
+
+    /// A reply that forwards the outcome over a channel.
+    struct ChannelReply(mpsc::Sender<Outcome>);
+
+    impl Reply for ChannelReply {
+        fn send(self, outcome: Result<Scored<'_>, PredictError>) {
+            let _ = self
+                .0
+                .send(outcome.map(|s| (s.rows.to_vec(), s.drained, s.scored)));
+        }
     }
+
+    fn reply() -> (ChannelReply, mpsc::Receiver<Outcome>) {
+        let (sender, receiver) = mpsc::channel();
+        (ChannelReply(sender), receiver)
+    }
+
+    fn texts(n: usize) -> Vec<String> {
+        vec!["hello".to_string(); n]
+    }
+
+    const LR: BaselineKind = BaselineKind::LogisticRegression;
 
     #[test]
     fn batched_replies_match_direct_scoring() {
         let registry = SharedRegistry::new(tiny_registry());
-        let model = registry
-            .current()
-            .get(BaselineKind::LogisticRegression)
-            .unwrap();
+        let model = registry.current().get(LR).unwrap();
         let metrics = ServeMetrics::new();
         let config = BatchConfig {
             max_batch: 8,
@@ -397,36 +360,100 @@ mod tests {
         ];
         let expected: Vec<Vec<f64>> = texts.iter().map(|t| model.probabilities_one(t)).collect();
 
-        with_queues(&registry, &config, &metrics, |handle| {
-            let (got, timing) = handle
-                .predict_many(BaselineKind::LogisticRegression, texts.clone())
-                .unwrap();
+        let (handle, queues) = build_queues(&registry, &config, &metrics, usize::MAX);
+        let (reply, outcome) = reply();
+        std::thread::scope(|scope| {
+            for queue in queues {
+                scope.spawn(|| queue.run(&registry));
+            }
+            handle.submit(LR, texts, reply).map_err(|e| e.0).unwrap();
+            let (got, drained, scored) = outcome.recv().unwrap().unwrap();
             assert_eq!(got, expected);
-            // One batch: its timing envelope is ordered and after enqueue.
-            let timing = timing.expect("scored at least one text");
-            assert!(timing.drained <= timing.scored);
+            assert!(drained <= scored);
+            drop(handle); // lets every drain loop exit
         });
 
-        // All three jobs were enqueued before any reply was awaited, so they
-        // were scored as one batch — visible in the LR queue.
+        // The request's three texts were scored as one batch — visible in
+        // the LR queue.
         let lr_queue = metrics.queue("LR", "classical");
         assert_eq!(lr_queue.max_batch_size(), 3);
         assert_eq!(lr_queue.depth(), 0);
     }
 
     #[test]
+    fn batches_fill_to_max_batch_texts_without_splitting_a_request() {
+        let registry = SharedRegistry::new(tiny_registry());
+        let model = registry.current().get(LR).unwrap();
+        let metrics = ServeMetrics::new();
+        let config = BatchConfig {
+            max_batch: 2,
+            max_wait: Duration::from_secs(5),
+        };
+        let (handle, queues) = build_queues(&registry, &config, &metrics, usize::MAX);
+        // Queue three requests (1, 3 and 1 texts) before the drain loop
+        // starts, then close the channel so the loop never waits out its
+        // window: the batches it forms depend only on the texts queued.
+        let requests = [
+            vec!["i feel alone".to_string()],
+            vec![
+                "my job exhausts me".to_string(),
+                "i pray every night".to_string(),
+                "my friends left".to_string(),
+            ],
+            vec!["i run every morning".to_string()],
+        ];
+        let mut outcomes = Vec::new();
+        for request in &requests {
+            let (reply, outcome) = reply();
+            handle
+                .submit(LR, request.clone(), reply)
+                .map_err(|e| e.0)
+                .unwrap();
+            outcomes.push(outcome);
+        }
+        drop(handle);
+        for queue in queues {
+            queue.run(&registry);
+        }
+
+        let mut drained = Vec::new();
+        for (request, outcome) in requests.iter().zip(&outcomes) {
+            let (rows, at, _) = outcome.recv().unwrap().unwrap();
+            let want: Vec<Vec<f64>> = request.iter().map(|t| model.probabilities_one(t)).collect();
+            assert_eq!(rows, want);
+            drained.push(at);
+        }
+        // 1 text < 2, so the 3-text request joined whole (4 texts); the
+        // last request formed a batch of its own.
+        assert_eq!(drained[0], drained[1]);
+        assert_ne!(drained[1], drained[2]);
+        let lr_queue = metrics.queue("LR", "classical");
+        assert_eq!(lr_queue.max_batch_size(), 4);
+        assert_eq!(lr_queue.depth(), 0);
+        let snapshot = metrics.snapshot(None);
+        assert_eq!(snapshot.get("texts_scored").unwrap().as_f64(), Some(5.0));
+        let batches = snapshot.get("batches").unwrap();
+        assert_eq!(batches.get("count").unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
     fn unregistered_kind_is_an_error_and_records_no_metrics() {
         let registry = SharedRegistry::new(tiny_registry());
         let metrics = ServeMetrics::new();
-        let config = BatchConfig::default();
-        with_queues(&registry, &config, &metrics, |handle| {
-            // No Linear SVM scorer was registered, so no queue exists for it:
-            // the error comes straight from the handle, nothing is enqueued.
-            let got = handle.predict_many(BaselineKind::LinearSvm, vec!["text".to_string()]);
-            let err = got.err().unwrap();
-            assert!(matches!(err, PredictError::NotLoaded(_)));
-            assert!(err.to_string().contains("not loaded"));
-        });
+        let (handle, _queues) =
+            build_queues(&registry, &BatchConfig::default(), &metrics, usize::MAX);
+        // No Linear SVM scorer was registered, so no queue exists for it:
+        // the error comes straight from the handle, nothing is enqueued, and
+        // the reply comes back unsent.
+        let (reply, outcome) = reply();
+        let (err, reply) = handle
+            .submit(BaselineKind::LinearSvm, texts(1), reply)
+            .err()
+            .unwrap();
+        assert!(matches!(err, PredictError::NotLoaded(_)));
+        assert!(err.to_string().contains("not loaded"));
+        drop(reply);
+        assert!(outcome.recv().is_err(), "a refused reply was sent");
         // Nothing was scored, so nothing shows up as a batch.
         let snapshot = metrics.snapshot(None);
         assert_eq!(snapshot.get("texts_scored").unwrap().as_f64(), Some(0.0));
@@ -435,17 +462,14 @@ mod tests {
     }
 
     #[test]
-    fn predict_many_fails_cleanly_after_shutdown() {
+    fn submit_fails_cleanly_after_shutdown() {
         let registry = SharedRegistry::new(tiny_registry());
         let metrics = ServeMetrics::new();
         let (handle, queues) = build_queues(&registry, &BatchConfig::default(), &metrics, 1024);
         drop(queues); // receivers gone: every send errors
-        assert_eq!(
-            handle
-                .predict_many(BaselineKind::LogisticRegression, vec!["x".to_string()])
-                .err(),
-            Some(PredictError::Shutdown)
-        );
+        let (reply, _outcome) = reply();
+        let refused = handle.submit(LR, texts(2), reply).err().map(|e| e.0);
+        assert_eq!(refused, Some(PredictError::Shutdown));
         // The failed send released its reservation: depth is back to zero.
         assert_eq!(metrics.queue("LR", "classical").depth(), 0);
     }
@@ -455,46 +479,25 @@ mod tests {
         let registry = SharedRegistry::new(tiny_registry());
         let metrics = ServeMetrics::new();
         // No drain loop running: jobs sit in the channel, depth only grows.
-        let (handle, queues) = build_queues(&registry, &BatchConfig::default(), &metrics, 3);
-        let texts = |n: usize| vec!["hello".to_string(); n];
+        let (handle, _queues) = build_queues(&registry, &BatchConfig::default(), &metrics, 3);
+        let submit = |n: usize| handle.submit(LR, texts(n), reply().0).err().map(|e| e.0);
 
         // A request bigger than the whole cap is rejected outright.
-        let err = handle
-            .predict_many(BaselineKind::LogisticRegression, texts(4))
-            .err()
-            .unwrap();
+        let err = submit(4).unwrap();
         assert!(matches!(err, PredictError::QueueFull { .. }));
         assert!(err.to_string().contains("full"));
         assert_eq!(metrics.queue("LR", "classical").depth(), 0);
 
-        // Fill the cap exactly by enqueueing without awaiting replies: send
-        // the jobs by hand through a second handle thread would block on
-        // recv, so reserve via the public path in a scope that never drains.
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let handle = handle.clone();
-                scope.spawn(move || {
-                    // Blocks on recv until the queues are dropped below; the
-                    // reservation itself is what this test observes.
-                    let _ = handle.predict_many(BaselineKind::LogisticRegression, texts(1));
-                });
-            }
-            // Deterministic wait: depth is incremented before send, so poll
-            // the gauge (no timing assumption — just a progress deadline).
-            let deadline = Instant::now() + Duration::from_secs(20);
-            while metrics.queue("LR", "classical").depth() < 3 {
-                assert!(Instant::now() < deadline, "queue never filled");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // The cap is reached: one more text is shed, all-or-nothing.
-            let err = handle
-                .predict_many(BaselineKind::LogisticRegression, texts(1))
-                .err()
-                .unwrap();
-            assert!(matches!(err, PredictError::QueueFull { depth: 3, .. }));
-            assert_eq!(metrics.queue("LR", "classical").depth(), 3);
-            drop(queues); // disconnects the channel, unblocking the senders
-        });
+        // Fill the cap exactly: nothing drains, so each admitted text holds
+        // its reservation.
+        for _ in 0..3 {
+            assert_eq!(submit(1), None);
+        }
+        assert_eq!(metrics.queue("LR", "classical").depth(), 3);
+        // The cap is reached: one more text is shed, all-or-nothing.
+        let err = submit(1).unwrap();
+        assert!(matches!(err, PredictError::QueueFull { depth: 3, .. }));
+        assert_eq!(metrics.queue("LR", "classical").depth(), 3);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!
 //! Requests are assigned monotonically increasing sequence numbers as they
 //! parse; up to [`MAX_PIPELINED`] may be in flight at once, so request `N+1`
-//! parses (and dispatches to a handler) while `N`'s batch is still being
-//! scored. Responses complete in *any* order — handlers finish whenever their
-//! batch queue does — but serialize strictly in sequence order through the
-//! [`pending`](Connection) reorder map, so the client always sees answers in
-//! the order it asked. At the cap the connection simply stops reading
-//! (POLLIN interest is withdrawn), pushing backpressure into the kernel's
-//! receive buffer instead of server memory.
+//! parses (and is routed) while `N`'s batch is still being scored. Responses
+//! complete in *any* order — the poller answers a `/healthz` at once, a batch
+//! queue a `/predict` when its batch is scored — but serialize strictly in
+//! sequence order through the [`pending`](Connection) reorder map, so the
+//! client always sees answers in the order it asked. At the cap the
+//! connection simply stops reading (POLLIN interest is withdrawn), pushing
+//! backpressure into the kernel's receive buffer instead of server memory.
 //!
 //! ## Idle timeout
 //!
@@ -44,8 +44,8 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Most requests one connection may have in flight (parsed and dispatched,
-/// response not yet serialized). Bounds per-connection server memory under a
+/// Most requests one connection may have in flight (parsed, response not
+/// yet serialized). Bounds per-connection server memory under a
 /// client that streams requests faster than batches score.
 pub(crate) const MAX_PIPELINED: usize = 32;
 
@@ -209,17 +209,16 @@ impl Connection {
 
     /// Pull every parseable request out of the buffer, up to the pipelining
     /// cap, assigning sequence numbers and applying keep-alive policy. Each
-    /// parsed request is born with a [`RequestTrace`] — the trace id is
-    /// minted here, at parse completion, and every later stage stamps the
-    /// same record. Returns the requests to hand to handler threads; a
-    /// malformed request is answered locally (400, close) and ends parsing —
-    /// framing is lost.
+    /// parsed request is routed, counted, and born with a [`RequestTrace`] —
+    /// the trace id is minted here, at parse completion, and every later
+    /// stage stamps the same record. Returns the requests for the poller to
+    /// answer or hand on; a malformed request is answered here (400, close)
+    /// and ends parsing — framing is lost.
     ///
     /// A request that finds this client's token bucket empty is also answered
-    /// locally — `429` + `Retry-After` without a handler round-trip — but the
-    /// connection stays open: framing is intact, and the whole point of
-    /// `Retry-After` is that the same client retries on the same connection
-    /// once its bucket refills.
+    /// here — `429` + `Retry-After` — but the connection stays open: framing
+    /// is intact, and the whole point of `Retry-After` is that the same
+    /// client retries on the same connection once its bucket refills.
     pub(crate) fn take_requests(
         &mut self,
         now: Instant,
@@ -229,68 +228,68 @@ impl Connection {
     ) -> Vec<(u64, Request, RequestTrace)> {
         let mut dispatches = Vec::new();
         while !self.closing && self.last_seq.is_none() && self.outstanding() < MAX_PIPELINED {
-            match self.parser.poll_request() {
-                Ok(Some(request)) => {
-                    let seq = self.assign_seq(metrics);
-                    if request.close || seq + 1 >= max_requests.max(1) as u64 {
-                        self.last_seq = Some(seq);
-                    }
-                    if let Some(bucket) = self.bucket.as_mut() {
-                        if !bucket.try_take(now) {
-                            let endpoint = Endpoint::resolve(&request.method, &request.path);
-                            metrics.record_request(endpoint);
-                            metrics.record_error();
-                            metrics.record_shed(endpoint, ShedReason::RateLimited);
-                            let mut trace = metrics.obs().begin_trace(now);
-                            trace.endpoint = endpoint;
-                            trace.stamp_at(TraceStamp::ResponseQueued, Instant::now());
-                            self.complete(
-                                seq,
-                                Response::too_many(
-                                    "client rate limit exceeded",
-                                    admission.retry_after_secs(),
-                                ),
-                                trace,
-                            );
-                            continue;
-                        }
-                    }
-                    let trace = metrics.obs().begin_trace(now);
-                    if seq != self.next_write_seq {
-                        // An earlier request is still in flight: this one is
-                        // being parsed ahead of its turn.
-                        metrics.connections().record_pipelined();
-                    }
-                    dispatches.push((seq, request, trace));
-                }
-                Ok(None) => break,
+            let Some(parsed) = self.parser.poll_request().transpose() else {
+                break;
+            };
+            let seq = self.assign_seq(metrics);
+            let endpoint = parsed
+                .as_ref()
+                .map_or(Endpoint::Other, |r| Endpoint::resolve(&r.method, &r.path));
+            metrics.record_request(endpoint);
+            // Born at parse completion itself, not at the poll round's `now`:
+            // bytes read late in a round may have been sent after `now`.
+            let mut trace = metrics.obs().begin_trace(Instant::now());
+            trace.endpoint = endpoint;
+            let request = match parsed {
+                Ok(request) => request,
                 Err(e) => {
                     // A malformed request desynchronises the framing; answer
                     // 400 and close rather than guess where the next request
-                    // starts. No handler round-trip — the poller owns this.
-                    let seq = self.assign_seq(metrics);
+                    // starts.
                     self.last_seq = Some(seq);
-                    metrics.record_request(Endpoint::Other);
-                    metrics.record_error();
-                    let mut trace = metrics.obs().begin_trace(now);
-                    trace.stamp_at(TraceStamp::ResponseQueued, Instant::now());
-                    self.complete(
-                        seq,
-                        Response::error(400, &format!("malformed request: {e}")),
-                        trace,
-                    );
+                    let response = Response::error(400, &format!("malformed request: {e}"));
+                    self.answer(seq, response, trace, metrics);
                     break;
                 }
+            };
+            if request.close || seq + 1 >= max_requests.max(1) as u64 {
+                self.last_seq = Some(seq);
             }
+            if let Some(bucket) = self.bucket.as_mut() {
+                if !bucket.try_take(now) {
+                    metrics.record_shed(endpoint, ShedReason::RateLimited);
+                    let retry_after = admission.retry_after_secs();
+                    let response = Response::too_many("client rate limit exceeded", retry_after);
+                    self.answer(seq, response, trace, metrics);
+                    continue;
+                }
+            }
+            if seq != self.next_write_seq {
+                // An earlier request is still in flight: this one is being
+                // parsed ahead of its turn.
+                metrics.connections().record_pipelined();
+            }
+            dispatches.push((seq, request, trace));
         }
         dispatches
     }
 
-    /// Accept a completed response for `seq`, with the trace that followed
-    /// the request through the stack. Responses arrive in any order;
-    /// serialization happens in sequence order via
-    /// [`serialize_ready`](Self::serialize_ready).
-    pub(crate) fn complete(&mut self, seq: u64, response: Response, trace: RequestTrace) {
+    /// Hand the response to request `seq` to the reorder buffer, whether the
+    /// poller answered it or another thread did: count an error response and
+    /// stamp the response queued (a no-op if it was stamped where it was
+    /// built). Responses arrive in any order; they serialize in sequence
+    /// order via [`serialize_ready`](Self::serialize_ready).
+    pub(crate) fn answer(
+        &mut self,
+        seq: u64,
+        response: Response,
+        mut trace: RequestTrace,
+        metrics: &ServeMetrics,
+    ) {
+        if response.status >= 400 {
+            metrics.record_error();
+        }
+        trace.stamp(TraceStamp::ResponseQueued);
         if self.closing || seq < self.next_write_seq {
             return; // response for a sequence this connection already gave up on
         }

@@ -13,41 +13,38 @@
 //!
 //! ## Architecture
 //!
-//! Since the connection-multiplexer redesign, no thread count scales with the
-//! number of connected clients: P pollers + H handlers + one batch queue per
-//! scorer serve any number of keep-alive connections.
+//! No thread count scales with the number of connected clients: P pollers +
+//! one batch queue per scorer + H handlers (`/explain`, `/reload`) serve any
+//! number of keep-alive connections, and no thread waits for another's result.
 //!
 //! ```text
 //!                  ┌────────────────────────────────── server thread ──────┐
 //!  clients ───────►│ nonblocking listener ─ accepted by any poller         │
 //!  (keep-alive,    │                                                       │
 //!   pipelined)     │  poller threads (P, fixed) — poll(2) readiness loop   │
-//!                  │  │ per connection (owned by one poller):              │
-//!                  │  │   incremental RequestParser ── reorder buffer ──►  │
-//!                  │  │   seq-numbered dispatch        in-order responses, │
-//!                  │  │   (≤32 pipelined)              partial-write       │
-//!                  │  │   idle-timeout wheel           resumption          │
-//!                  │  ▼ job mpsc              ▲ completions + waker        │
-//!                  │  handler threads (H, fixed): route ─ respond          │
-//!                  │  │ /predict blocks here, never on a poller            │
-//!                  │  ▼ per-kind job mpsc                                  │
-//!                  │   ┌─ BatchQueue "LR"   ── drain ≤max_batch ──┐        │
-//!                  │   │                       or until max_wait  │        │
-//!                  │   ├─ BatchQueue "BERT" ── (own window sized ─┤        │
-//!                  │   │      …                from cost_hint)    │        │
-//!                  │   └──────────────┬───────────────────────────┘        │
-//!                  │                  ▼                                    │
-//!                  │     Arc<dyn Scorer>::probabilities                    │
-//!                  │     (one batched call per queue batch)                │
-//!                  │                  ▼                                    │
-//!                  │     per-job reply channels ─► handlers ─► pollers     │
+//!                  │  │ per connection: incremental RequestParser,         │
+//!                  │  │   seq-numbered routing (≤32 pipelined), reorder    │
+//!                  │  │   buffer → in-order responses, partial writes,     │
+//!                  │  │   idle-timeout wheel                               │
+//!                  │  │ answers itself: /healthz /metrics /debug/slow,     │
+//!                  │  │   404/405, refused /predict (4xx, 429, 503)        │
+//!                  │  ├─ /predict: one job per request, never waits        │
+//!                  │  │   BatchQueue per kind ("LR", "BERT", …): drains    │
+//!                  │  │   ≥ max_batch texts or waits out max_wait (sized   │
+//!                  │  │   from cost_hint) ─► Arc<dyn Scorer>               │
+//!                  │  │   ::probabilities, one call per batch; rows        │
+//!                  │  │   sliced per job, response built                   │
+//!                  │  └─ /explain, /reload: job mpsc ─► handler threads    │
+//!                  │      (H, fixed): LIME / corpus validation             │
+//!                  │  batch queues + handlers ─► completions + waker ─►    │
+//!                  │  owning poller                                        │
 //!                  └───────────────────────────────────────────────────────┘
 //! ```
 //!
 //! * **[`poller`]** — the `std`-only readiness layer: a safe wrapper over the
 //!   `poll(2)` symbol libc already provides (the build is offline, so no
-//!   mio/tokio), plus the `UnixStream`-pair waker handlers use to hand
-//!   completed responses back to the owning poller.
+//!   mio/tokio), plus the `UnixStream`-pair waker the batch queues and the
+//!   handlers use to hand completed responses back to the owning poller.
 //! * **[`conn`]** — per-connection state machines: incremental request
 //!   framing that resumes from any byte boundary, response write-out with
 //!   partial-write resumption, request pipelining with an in-order reorder
@@ -77,11 +74,12 @@
 //! * **[`batcher`]** — one `BatchQueue` per registered
 //!   scorer: its own channel, its own drain thread, its own
 //!   [`BatchConfig`] window sized from the scorer's `cost_hint`
-//!   ([`BatchConfig::sized_for`]). Request workers enqueue texts on their
-//!   model's queue and block on per-job reply channels; each drain loop
-//!   coalesces up to [`BatchConfig::max_batch`] texts (or whatever arrived
-//!   within its window) and scores them with one `probabilities` call. A
-//!   saturated transformer queue therefore cannot delay a classical batch —
+//!   ([`BatchConfig::sized_for`]). A poller submits each `/predict` as one
+//!   job holding all of its texts and returns to its sockets; each drain loop
+//!   coalesces jobs until it holds [`BatchConfig::max_batch`] texts (or its
+//!   window closes), never splitting a request, scores them with one
+//!   `probabilities` call, and answers each request straight to its poller.
+//!   A saturated transformer queue therefore cannot delay a classical batch —
 //!   the isolation an integration test pins with a deliberately slow scorer
 //!   stub. Batching is invisible in the answers: batched scoring is
 //!   bit-for-bit identical to text-at-a-time scoring, a property the core
@@ -143,7 +141,7 @@
 //!    [`RateLimitConfig`]) — each accepted connection gets its own
 //!    [`TokenBucket`] holding at most `burst` tokens, refilled continuously
 //!    at `rate_per_s` tokens per second; every parsed request takes one
-//!    token or is answered `429` without ever reaching a handler. Keyed on
+//!    token or is answered `429` by the poller, before routing. Keyed on
 //!    connection identity: a client that reconnects starts a fresh bucket,
 //!    but also pays the connection setup. Off by default (`None`).
 //! 3. **Graceful degradation** (`explain_shed_depth`) — `/explain` costs
@@ -184,30 +182,30 @@
 //! path takes a mutex or allocates per stamp.
 //!
 //! ```text
-//!  trace lifecycle (one request; ── is a stage, │ a stamped boundary):
+//!  /predict (one request; ── is a stage, │ a stamped boundary):
 //!
-//!  poller             handler              batch queue          poller
-//!  ──────             ───────              ───────────          ──────
-//!  parse done ───────► picked off queue ─► texts enqueued ─►    response
-//!  │ id minted        │ HandlerStart      │ QueueEnqueue        serialized,
-//!  │ (conn.rs)        │                   │ batch drained ─►    written out
-//!  │                  │                   │ BatchDrain          │ WriteDone
-//!  │                  │                   │ rows returned       │ finalize:
-//!  │                  │                   │ Scored              │ histograms
-//!  │                  │ response built    │                     │ + slow ring
-//!  │                  │ ResponseQueued ───┴──────────────────►  │
-//!  └── dispatch ──────┴── prepare ── queue_wait ── score ── respond ── write
+//!  poller                          batch queue            poller
+//!  ──────                          ───────────            ──────
+//!  parse done ─► body validated ─► batch drained ─►       response
+//!  │ id minted   │ QueueEnqueue    │ BatchDrain           serialized,
+//!  │ (conn.rs)   │ submitted       │ rows returned        written out
+//!  │             │                 │ Scored               │ WriteDone
+//!  │             │                 │ response built       │ finalize:
+//!  │             │                 │ ResponseQueued ────► │ histograms
+//!  │             │                 │                      │ + slow ring
+//!  └── prepare ──┴── queue_wait ───┴── score ── respond ──┴── write
 //! ```
 //!
 //! **Stage glossary** (each stage ends at its stamp; together they partition
 //! the end-to-end latency): `dispatch` = parse completion → a handler picks
-//! the job up (queueing in the handler pool); `prepare` = request parsing /
-//! validation / model resolution in the handler; `queue_wait` = batch-queue
-//! residency until the drain loop takes the batch; `score` = the batched
-//! `probabilities` call (or the LIME run for `/explain`); `respond` =
-//! fan-out and response building until the completion is queued back to the
-//! poller; `write` = reorder-buffer wait plus socket write-out until the
-//! last byte is on the wire.
+//! up an `/explain` or `/reload` (`HandlerStart`); `prepare` = `/predict`
+//! body validation on the poller, up to the batch-queue submit;
+//! `queue_wait` = batch-queue residency until the drain loop takes the batch;
+//! `score` = the batched `probabilities` call (or the LIME run for
+//! `/explain`); `respond` = response building until the completion is queued
+//! back to the poller; `write` = reorder-buffer wait plus socket write-out
+//! until the last byte is on the wire. A request skips the stages of places
+//! it never goes.
 //!
 //! **Histogram error bounds**: [`obs::LogHistogram`] buckets values at 16
 //! sub-buckets per power of two, so any reported percentile is within one
@@ -248,8 +246,8 @@
 //! * **No lock guard held across a blocking call** (`guard-across-send`).
 //!   Holding a `Mutex`/`RwLock` guard at a `send`/`recv`/`join`/`sleep` is
 //!   the classic contention-only deadlock. The one intentional case — the
-//!   handler pool taking turns on the shared job receiver — is waived inline
-//!   with its rationale.
+//!   `/explain`/`/reload` handler pool taking turns on the shared job
+//!   receiver — is waived inline with its rationale.
 //!
 //! Waivers are always of the form
 //! `// lint:allow(guard-across-send): receivers take turns by design` — the
@@ -281,7 +279,7 @@ pub mod registry;
 pub mod server;
 
 pub use admission::{Admission, AdmissionConfig, RateLimitConfig, TokenBucket};
-pub use batcher::{BatchConfig, BatchTiming, BatcherHandle, PredictError};
+pub use batcher::{BatchConfig, PredictError};
 pub use http::{http_request, HttpClient, Request, Response};
 pub use metrics::{
     build_info, os_thread_count, AdmissionMetrics, ConnectionMetrics, Endpoint, QueueMetrics,

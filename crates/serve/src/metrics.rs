@@ -23,7 +23,7 @@
 //!
 //! End-to-end request latency is recorded when a response's **last byte
 //! reaches the socket** (trace finalization in the poller), not when the
-//! handler finishes — so a client that drains slowly shows up in the tail.
+//! response is built — so a client that drains slowly shows up in the tail.
 
 use crate::obs::{HistogramSnapshot, LogHistogram, Obs, RequestTrace, STAGE_NAMES};
 use crate::registry::FitStats;
@@ -95,9 +95,9 @@ impl Endpoint {
     }
 
     /// Route a parsed request line to its endpoint. The single source of
-    /// routing truth: the server's dispatch and the poller's rate-limit
-    /// labeling both use this, so a shed `/predict` is counted as `predict`
-    /// even when the handler never sees it.
+    /// routing truth: the connection layer resolves every parsed request
+    /// once, so a request shed by the rate limiter is counted under the
+    /// endpoint it asked for.
     pub fn resolve(method: &str, path: &str) -> Endpoint {
         match (method, path) {
             ("POST", "/predict") => Endpoint::Predict,
@@ -317,13 +317,14 @@ pub fn os_thread_count() -> Option<u64> {
 }
 
 /// Per-queue statistics: one instance per registered scorer kind, shared
-/// between that kind's [`BatcherHandle`](crate::batcher::BatcherHandle) side
-/// (depth increments) and its drain loop (depth decrements, batch sizes,
-/// per-job queue wait and per-batch scoring time).
+/// between the pollers that submit to that kind's queue (depth increments)
+/// and its drain loop (depth decrements, batch sizes, queue wait and
+/// per-batch scoring time). Depth and batch sizes count texts; queue wait is
+/// sampled once per job (one request's texts).
 ///
 /// Every depth change is mirrored into the server-wide `aggregate` counter
 /// (shared across all queues via [`ServeMetrics::queue`]), which the global
-/// intake valve and `/explain` shedding read — so "total jobs queued" is one
+/// intake valve and `/explain` shedding read — so "total texts queued" is one
 /// atomic load, not a walk over the queue list.
 #[derive(Debug, Default)]
 pub struct QueueMetrics {
@@ -350,21 +351,22 @@ impl QueueMetrics {
         }
     }
 
-    /// Count one job entering the queue.
+    /// Count one text entering the queue, without an admission check.
+    #[cfg(test)]
     pub fn record_enqueued(&self) {
         self.depth.fetch_add(1, Ordering::Relaxed);
         self.aggregate.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reserve room for `jobs` more jobs, all or nothing: succeeds (and
+    /// Reserve room for `texts` more texts, all or nothing: succeeds (and
     /// counts them as enqueued) only if the resulting depth stays within
     /// `cap`. The compare-exchange makes the check-and-increment atomic, so
-    /// two handlers racing for the last slots cannot both win it —
+    /// two pollers racing for the last slots cannot both win it —
     /// admission never overshoots the cap.
-    pub fn try_admit(&self, jobs: u64, cap: u64) -> bool {
+    pub fn try_admit(&self, texts: u64, cap: u64) -> bool {
         let mut current = self.depth.load(Ordering::Relaxed);
         loop {
-            let next = match current.checked_add(jobs) {
+            let next = match current.checked_add(texts) {
                 Some(next) if next <= cap => next,
                 _ => return false,
             };
@@ -379,7 +381,7 @@ impl QueueMetrics {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.aggregate.fetch_add(jobs, Ordering::Relaxed);
+                    self.aggregate.fetch_add(texts, Ordering::Relaxed);
                     return true;
                 }
                 Err(actual) => current = actual,
@@ -387,14 +389,14 @@ impl QueueMetrics {
         }
     }
 
-    /// Count `jobs` leaving the queue unscored (shutdown drain, or an
-    /// admitted reservation whose send failed).
-    pub fn record_dropped(&self, jobs: usize) {
-        self.depth.fetch_sub(jobs as u64, Ordering::Relaxed);
-        self.aggregate.fetch_sub(jobs as u64, Ordering::Relaxed);
+    /// Count `texts` leaving the queue unscored (a swapped-in registry
+    /// without the kind, or an admitted reservation whose send failed).
+    pub fn record_dropped(&self, texts: usize) {
+        self.depth.fetch_sub(texts as u64, Ordering::Relaxed);
+        self.aggregate.fetch_sub(texts as u64, Ordering::Relaxed);
     }
 
-    /// Record one scored batch of `size` jobs: each job's queue wait
+    /// Record one scored batch of `size` texts: each job's queue wait
     /// (enqueue → drain, µs) and the batch's single scoring call duration.
     /// Decrements the queue depth by the batch size.
     pub fn record_batch(&self, size: usize, job_wait_us: &[u64], score_us: u64) {
@@ -411,7 +413,7 @@ impl QueueMetrics {
         self.score.record(score_us);
     }
 
-    /// Jobs currently waiting in (or being scored from) this queue.
+    /// Texts currently waiting in (or being scored from) this queue.
     pub fn depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed)
     }
@@ -647,8 +649,8 @@ struct QueueReading {
     score: HistogramSnapshot,
 }
 
-/// Shared metrics sink. One instance per server, shared by pollers, handlers
-/// and the per-kind batch queues. Also owns the [`Obs`] observability state
+/// Shared metrics sink. One instance per server, shared by pollers, batch
+/// queues and handlers. Also owns the [`Obs`] observability state
 /// (trace-id mint, per-endpoint stage histograms, slow-trace ring).
 #[derive(Debug)]
 pub struct ServeMetrics {
@@ -670,7 +672,7 @@ pub struct ServeMetrics {
     /// Per-kind queue sections, in registration order. Never shrinks, so the
     /// cross-queue totals derived from it never go backwards.
     queues: Mutex<Vec<(String, String, Arc<QueueMetrics>)>>,
-    /// Jobs queued across every kind, maintained by the [`QueueMetrics`]
+    /// Texts queued across every kind, maintained by the [`QueueMetrics`]
     /// registered through [`queue`](Self::queue). Read by the intake valve
     /// and `/explain` shedding.
     aggregate_depth: Arc<AtomicU64>,
@@ -746,7 +748,7 @@ impl ServeMetrics {
         self.admission.record_shed(endpoint, reason);
     }
 
-    /// Jobs currently queued (or being scored) across every kind's queue.
+    /// Texts currently queued (or being scored) across every kind's queue.
     pub fn aggregate_queue_depth(&self) -> u64 {
         self.aggregate_depth.load(Ordering::Relaxed)
     }

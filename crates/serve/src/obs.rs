@@ -20,9 +20,10 @@
 //! ## Traces
 //!
 //! A [`RequestTrace`] is minted by the connection layer the moment a request
-//! finishes parsing and rides along with it through the handler pool, the
-//! batch queues and back out the socket. Each boundary crossing stamps one
-//! slot (a plain write — the trace is owned by exactly one thread at a time):
+//! finishes parsing and rides along with it (through a batch queue, or the
+//! handler pool for `/explain` and `/reload`) and back out the socket. Each
+//! boundary crossing stamps one slot (a plain write — the trace is owned by
+//! exactly one thread at a time):
 //!
 //! ```text
 //! parse done ─► handler start ─► queue enqueue ─► batch drain ─► scored
@@ -36,9 +37,9 @@
 //! latency. When the final byte of the response hits the socket, the poller
 //! [finalizes](Obs::finalize) the trace: each stage duration lands in its
 //! per-endpoint [`LogHistogram`] and the whole trace is offered to the
-//! [`SlowTraceBuffer`]. Endpoints that never touch a batch queue
-//! (`/healthz`, `/metrics`) simply skip the queue stamps; durations are
-//! computed between *present* stamps, so the accounting stays additive.
+//! [`SlowTraceBuffer`]. Requests skip the stamps of places they never go
+//! (`/predict` has no handler start, `/healthz` no queue stamps); durations
+//! are computed between *present* stamps, so the accounting stays additive.
 //!
 //! ## The slow ring
 //!
@@ -305,7 +306,8 @@ impl HistogramSnapshot {
 /// Indexes into [`RequestTrace`]'s stamp array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStamp {
-    /// A handler thread picked the parsed request off the dispatch queue.
+    /// A handler thread picked the parsed `/explain` or `/reload` request
+    /// off the job queue.
     HandlerStart = 0,
     /// The request's texts entered a scorer's batch queue.
     QueueEnqueue = 1,
@@ -336,9 +338,9 @@ pub const STAGE_NAMES: [&str; N_STAMPS] = [
 
 /// One request's trace: an id, the parse-completion instant, and the
 /// boundary stamps accumulated as the request moves through the stack.
-/// Owned by exactly one thread at any moment (poller → handler → poller), so
-/// stamping is a plain array write — the atomics live in the histograms the
-/// finalized trace is folded into.
+/// Owned by exactly one thread at any moment (poller → batch queue or
+/// handler → poller), so stamping is a plain array write — the atomics live
+/// in the histograms the finalized trace is folded into.
 #[derive(Debug, Clone)]
 pub struct RequestTrace {
     /// Unique per server run; serialized as 16 hex digits in `X-Trace-Id`.

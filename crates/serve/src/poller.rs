@@ -11,10 +11,10 @@
 //! connection churn (a closed fd is simply never submitted again).
 //!
 //! [`Waker`] is the cross-thread wakeup: a nonblocking `UnixStream` pair
-//! whose read end sits in the poll set. Handler threads finish a request,
-//! push the completion, and [`wake`](Waker::wake) the owning poller; writes
-//! to an already-signalled waker hit `WouldBlock` and are dropped — the
-//! poller is waking anyway, which makes `wake` O(1), lock-free and
+//! whose read end sits in the poll set. Batch queues and handlers finish a
+//! request, push the completion, and [`wake`](Waker::wake) the owning poller;
+//! writes to an already-signalled waker hit `WouldBlock` and are dropped —
+//! the poller is waking anyway, which makes `wake` O(1), lock-free and
 //! infallible.
 //!
 //! lint: no_panic — this file is event-loop core: a panic here kills a
@@ -198,8 +198,8 @@ impl WakeReader {
     }
 }
 
-/// A connected waker pair: the [`Waker`] goes to handler threads (and the
-/// server handle, for shutdown), the [`WakeReader`] into the poller's set.
+/// A connected waker pair: the [`Waker`] goes to batch queues and handlers
+/// (and the server handle, for shutdown), the [`WakeReader`] into the set.
 pub fn waker_pair() -> io::Result<(Waker, WakeReader)> {
     let (writer, reader) = UnixStream::pair()?;
     writer.set_nonblocking(true)?;

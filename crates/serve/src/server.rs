@@ -1,41 +1,42 @@
-//! The HTTP server: a nonblocking connection multiplexer in front of a small
-//! fixed pool of request handlers.
+//! The HTTP server: a nonblocking connection multiplexer that answers cheap
+//! routes itself and hands `/predict` straight to the batch queues.
 //!
 //! Thread model — every count here is configuration, none scale with the
 //! number of connected clients:
 //!
 //! * [`ServeConfig::pollers`] **poller threads** own the connections. Each
 //!   runs a readiness loop over `poll(2)` ([`crate::poller`]): it accepts new
-//!   sockets (the nonblocking listener is polled by every poller; the kernel
-//!   breaks the tie), reads whatever bytes are available into each
-//!   connection's incremental parser, dispatches parsed requests to the
-//!   handler pool, and writes completed responses back out with partial-write
-//!   resumption ([`crate::conn`]). Pollers never block on a socket or a
-//!   model, so ten thousand idle keep-alive clients cost two sleeping
-//!   threads, not ten thousand.
-//! * [`ServeConfig::handlers`] **handler threads** run the routes. They pull
-//!   parsed requests off one shared queue, block as needed (`/predict` waits
-//!   on the model's batch queue, `/explain` runs LIME), and hand the finished
-//!   response back to the owning poller through its completion list + waker.
+//!   sockets (every poller polls the nonblocking listener; the kernel breaks
+//!   the tie), feeds readable bytes to each connection's incremental parser,
+//!   routes each parsed request, and writes responses back out with
+//!   partial-write resumption ([`crate::conn`]). It answers `/healthz`,
+//!   `/metrics`, `/debug/slow`, 404/405 and every refused `/predict` itself,
+//!   and submits a valid `/predict` to its kind's batch queue without
+//!   waiting. Pollers never block on a socket or a model.
 //! * **one batch-queue thread per registered scorer** ([`crate::batcher`])
-//!   coalesces texts across concurrent requests — a slow transformer batch
-//!   never delays a classical one.
+//!   scores `/predict` texts coalesced across requests and answers each
+//!   request straight to its poller — a slow transformer batch never delays
+//!   a classical one.
+//! * [`ServeConfig::handlers`] **handler threads** run `/explain` (LIME) and
+//!   `/reload` (corpus validation; the fit runs on a dedicated thread).
 //!
-//! Connections are pipelined: a poller keeps parsing (and dispatching)
-//! request `N+1` while `N` is still being scored, and the per-connection
-//! reorder buffer guarantees responses go out in request order. Idle
-//! connections are evicted by a timer wheel, never by a blocking read
-//! timeout; a client that stops draining its responses is evicted by the same
-//! wheel once no bytes have moved for the idle timeout.
+//! Batch queues and handlers answer the same way: push onto the owning
+//! poller's completion list, addressed by (slot, generation, seq), then
+//! wake it. No thread blocks waiting for another thread's result.
+//!
+//! Connections are pipelined: a poller keeps parsing request `N+1` while `N`
+//! is still being scored, and the per-connection reorder buffer sends
+//! responses in request order. A timer wheel evicts idle connections and
+//! clients that stop draining their responses.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] flips the running flag and wakes
-//! every poller. Pollers drop their connections and exit; the job channel
-//! closes, handlers finish their in-flight requests and exit; their batcher
-//! handles drop, and every batch queue drains and exits — the scope then
+//! every poller. Pollers drop their connections and exit, and with them the
+//! only senders of the handler job channel and the batch queues: handlers
+//! finish their in-flight requests, every batch queue drains, and the scope
 //! joins everything.
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::batcher::{build_queues, BatchConfig, BatcherHandle, PredictError};
+use crate::batcher::{build_queues, BatchConfig, BatcherHandle, PredictError, Reply, Scored};
 use crate::conn::{Connection, TimerWheel};
 use crate::http::{Request, Response};
 use crate::metrics::{build_info, Endpoint, ServeMetrics, ShedReason};
@@ -45,13 +46,13 @@ use crate::registry::{ModelRegistry, SharedRegistry};
 use holistix::corpus::WellnessDimension;
 use holistix::linalg::argmax;
 use holistix::ml::ThreadBudget;
-use holistix::Scorer;
+use holistix::{BaselineKind, Scorer};
 use holistix_corpus::json::JsonValue;
 use holistix_explain::{LimeConfig, LimeExplainer};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -86,8 +87,8 @@ const TOKEN_WAKER: usize = usize::MAX;
 const TOKEN_LISTENER: usize = usize::MAX - 1;
 
 /// Thread budget for a `/reload` refit: half the machine (at least one), so
-/// the background fit leaves cores for the handler pool and the batch queues
-/// that are serving live traffic off the old registry.
+/// the background fit leaves cores for the pollers and the batch queues that
+/// are serving live traffic off the old registry.
 fn reload_fit_threads() -> usize {
     (ThreadBudget::machine().threads / 2).max(1)
 }
@@ -121,10 +122,11 @@ pub struct ServeConfig {
     /// them with readiness polling; two is plenty below tens of thousands of
     /// clients, since pollers do no model work.
     pub pollers: usize,
-    /// Handler threads: the request-level concurrency ceiling. Handlers run
-    /// the routes and may block (batch queues, LIME, reload validation);
-    /// connections are *not* pinned to handlers, so a handful serve
-    /// thousands of keep-alive clients.
+    /// Handler threads for the two routes that do long CPU work off the
+    /// pollers: `/explain` (LIME) and `/reload` (corpus parse and
+    /// validation). `/predict` never uses them — pollers submit it straight
+    /// to the batch queues — so this bounds only how many explanations and
+    /// reload validations run at once.
     pub handlers: usize,
     /// Base micro-batching knobs. Each registered scorer's queue derives its
     /// own window from this and the scorer's
@@ -242,39 +244,100 @@ pub fn serve(
     })
 }
 
-/// A parsed request on its way from a poller to the handler pool, carrying
-/// the trace minted at parse completion.
+/// An `/explain` or `/reload` request on its way to the handler pool.
 struct HandlerJob {
-    poller: usize,
-    slot: usize,
-    generation: u64,
-    seq: u64,
+    to: ReturnAddress,
     request: Request,
     trace: RequestTrace,
 }
 
-/// A finished response on its way back to the owning poller, with the trace
-/// the handler stamped along the way (the poller stamps the final
-/// last-byte-written boundary and finalizes it).
-struct Completion {
-    slot: usize,
-    generation: u64,
-    seq: u64,
-    response: Response,
-    trace: RequestTrace,
-}
+/// A finished response with the (slot, generation, seq) it answers and its
+/// trace (the poller stamps the last-byte-written boundary and finalizes it).
+type Completion = (usize, u64, u64, Response, RequestTrace);
 
-/// The handler-facing side of one poller: where completions are pushed, and
-/// the waker that tells the poller to collect them.
+/// The side of one poller other threads see: finished responses and the
+/// waker that tells the poller to collect them.
 struct PollerShared {
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
 }
 
-/// Everything a handler needs to answer requests.
-struct RequestContext<'a> {
+impl PollerShared {
+    /// The locked completion list. Every push and take leaves it valid, so
+    /// poison is recovered: pushes run in `PredictReply`'s `Drop` too.
+    fn completions(&self) -> MutexGuard<'_, Vec<Completion>> {
+        self.completions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Where a response computed off the poller goes: the owning poller and the
+/// connection slot, generation and request sequence number it answers.
+struct ReturnAddress {
+    poller: Arc<PollerShared>,
+    slot: usize,
+    generation: u64,
+    seq: u64,
+}
+
+impl ReturnAddress {
+    /// Stamp the response as queued, push it to the poller and wake it.
+    fn complete(&self, response: Response, mut trace: RequestTrace) {
+        trace.stamp(TraceStamp::ResponseQueued);
+        let completion = (self.slot, self.generation, self.seq, response, trace);
+        self.poller.completions().push(completion);
+        self.poller.waker.wake();
+    }
+}
+
+/// The reply of one submitted `/predict`: the drain thread builds the
+/// response in [`send`](Reply::send) and pushes it to the owning poller.
+/// Dropped unsent (the scorer panicked) it answers 500, since a connection
+/// with a request outstanding is never idle and would outlive every timeout.
+struct PredictReply {
+    to: ReturnAddress,
+    /// `None` once answered, or taken back when the queue refused the job.
+    trace: Option<RequestTrace>,
+    kind: BaselineKind,
+    /// The client asked for the stage breakdown (`?trace=1`).
+    inline_trace: bool,
+}
+
+impl Reply for PredictReply {
+    fn send(mut self, outcome: Result<Scored<'_>, PredictError>) {
+        let Some(mut trace) = self.trace.take() else {
+            return;
+        };
+        let response = match outcome {
+            Ok(scored) => {
+                trace.stamp_at(TraceStamp::BatchDrain, scored.drained);
+                trace.stamp_at(TraceStamp::Scored, scored.scored);
+                predict_answer(self.kind, scored.rows, self.inline_trace.then_some(&trace))
+            }
+            // The drain loop refuses only a kind that a swapped-in registry
+            // no longer has.
+            Err(error) => Response::error(503, &error.to_string()),
+        };
+        self.to.complete(response, trace);
+    }
+}
+
+impl Drop for PredictReply {
+    fn drop(&mut self) {
+        if let Some(trace) = self.trace.take() {
+            let response = Response::error(500, "scoring failed");
+            self.to.complete(response, trace);
+        }
+    }
+}
+
+/// What every server thread reads.
+struct Context<'a> {
+    listener: &'a TcpListener,
+    running: &'a AtomicBool,
+    keep_alive: &'a KeepAliveConfig,
     registry: &'a SharedRegistry,
-    batcher: BatcherHandle,
     lime: &'a LimeConfig,
     metrics: &'a Arc<ServeMetrics>,
     reloading: &'a Arc<AtomicBool>,
@@ -300,118 +363,80 @@ fn serve_loop(
         &metrics,
         config.admission.max_queue_depth,
     );
+    let batcher = Arc::new(batcher);
     let n_handlers = config.handlers.max(1);
     metrics.set_thread_plan(readers.len(), n_handlers, queues.len());
 
     let (job_sender, job_receiver) = mpsc::channel::<HandlerJob>();
     let job_receiver = Mutex::new(job_receiver);
-    let poller_shared: Vec<Arc<PollerShared>> = wakers
-        .iter()
-        .map(|waker| {
-            Arc::new(PollerShared {
-                completions: Mutex::new(Vec::new()),
-                waker: waker.clone(),
-            })
-        })
-        .collect();
-
-    let registry = &registry;
-    let keep_alive = &config.keep_alive;
-    let lime_config = &config.lime;
-    let admission = &admission;
-    let metrics = &metrics;
-    let reloading = &reloading;
-    let running = &running;
-    let listener = &listener;
-    let job_receiver = &job_receiver;
-    let poller_shared = &poller_shared;
+    let context = Context {
+        listener: &listener,
+        running: &running,
+        keep_alive: &config.keep_alive,
+        registry: &registry,
+        lime: &config.lime,
+        metrics: &metrics,
+        reloading: &reloading,
+        admission: &admission,
+    };
+    let (registry, context, job_receiver) = (&registry, &context, &job_receiver);
 
     std::thread::scope(|scope| {
         for queue in queues {
             scope.spawn(move || queue.run(registry));
         }
-
         for _ in 0..n_handlers {
-            let batcher = batcher.clone();
-            scope.spawn(move || {
-                let context = RequestContext {
-                    registry,
-                    batcher,
-                    lime: lime_config,
-                    metrics,
-                    reloading,
-                    admission,
-                };
-                handler_loop(&context, job_receiver, poller_shared);
-            });
+            scope.spawn(move || handler_loop(context, job_receiver));
         }
-        // The handlers hold clones; drop the original so the handlers' exit
-        // is what disconnects the batch queues.
-        drop(batcher);
-
-        for (index, reader) in readers.into_iter().enumerate() {
-            let job_sender = job_sender.clone();
-            let shared = Arc::clone(&poller_shared[index]);
-            scope.spawn(move || {
-                Poller::new(
-                    index, reader, shared, listener, job_sender, running, keep_alive, metrics,
-                    admission,
-                )
-                .run();
-            });
+        for (reader, waker) in readers.into_iter().zip(wakers) {
+            let poller = Poller::new(
+                reader,
+                waker,
+                context,
+                Arc::clone(&batcher),
+                job_sender.clone(),
+            );
+            scope.spawn(move || poller.run());
         }
-        // The pollers hold clones; when the last poller exits, the job
-        // channel disconnects and the handlers drain out.
+        // The pollers hold the only other senders of the job channel and the
+        // batch queues: when the last poller exits, the handlers and the
+        // queues drain out.
         drop(job_sender);
+        drop(batcher);
     });
 }
 
-/// Pop parsed requests, run the route, push the response back to the owning
-/// poller. Exits when every poller (job sender) is gone.
-fn handler_loop(
-    context: &RequestContext<'_>,
-    receiver: &Mutex<mpsc::Receiver<HandlerJob>>,
-    pollers: &[Arc<PollerShared>],
-) {
+/// Pop `/explain` and `/reload` jobs, run them, push each response back to
+/// the owning poller. Exits when every poller (job sender) is gone.
+fn handler_loop(context: &Context<'_>, receiver: &Mutex<mpsc::Receiver<HandlerJob>>) {
     loop {
         // Take the lock only to pop; handling runs unlocked so the rest of
         // the pool keeps draining jobs.
         // lint:allow(guard-across-send): intentional — mpsc::Receiver is not
-        // Sync, so handlers take turns blocking in `recv` under this mutex;
-        // the guard is a temporary that dies at the statement's `;`, and no
-        // other lock or work is ever taken while it is held.
+        // Sync, so the handlers (which run only /explain and /reload) take
+        // turns blocking in `recv` under this mutex; the guard is a temporary
+        // that dies at the statement's `;`, and no other lock or work is ever
+        // taken while it is held.
         let job = { receiver.lock().unwrap().recv() };
         let Ok(mut job) = job else { break };
         job.trace.stamp(TraceStamp::HandlerStart);
-        let response = route(&job.request, context, &mut job.trace);
-        if response.status >= 400 {
-            context.metrics.record_error();
-        }
-        job.trace.stamp(TraceStamp::ResponseQueued);
-        let shared = &pollers[job.poller];
-        shared.completions.lock().unwrap().push(Completion {
-            slot: job.slot,
-            generation: job.generation,
-            seq: job.seq,
-            response,
-            trace: job.trace,
-        });
-        shared.waker.wake();
+        let response = match job.trace.endpoint {
+            Endpoint::Explain => handle_explain(&job.request, context, &mut job.trace),
+            // The pollers send only /explain and /reload here.
+            _ => handle_reload(&job.request.body, context),
+        };
+        job.to.complete(response, job.trace);
     }
 }
 
 /// One poller thread: a readiness loop over its share of the connections,
 /// the shared listener, and its waker pipe.
 struct Poller<'a> {
-    index: usize,
     reader: WakeReader,
     shared: Arc<PollerShared>,
-    listener: &'a TcpListener,
-    job_sender: mpsc::Sender<HandlerJob>,
-    running: &'a AtomicBool,
-    keep_alive: &'a KeepAliveConfig,
-    metrics: &'a Arc<ServeMetrics>,
-    admission: &'a Admission,
+    context: &'a Context<'a>,
+    batcher: Arc<BatcherHandle<PredictReply>>,
+    handlers: mpsc::Sender<HandlerJob>,
     conns: Vec<Option<Connection>>,
     free: Vec<usize>,
     next_generation: u64,
@@ -421,32 +446,26 @@ struct Poller<'a> {
 }
 
 impl<'a> Poller<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        index: usize,
         reader: WakeReader,
-        shared: Arc<PollerShared>,
-        listener: &'a TcpListener,
-        job_sender: mpsc::Sender<HandlerJob>,
-        running: &'a AtomicBool,
-        keep_alive: &'a KeepAliveConfig,
-        metrics: &'a Arc<ServeMetrics>,
-        admission: &'a Admission,
+        waker: Waker,
+        context: &'a Context<'a>,
+        batcher: Arc<BatcherHandle<PredictReply>>,
+        handlers: mpsc::Sender<HandlerJob>,
     ) -> Self {
         // Wheel granularity: fine enough that evictions land near the
         // deadline, coarse enough that an idle server barely ticks.
-        let granularity =
-            (keep_alive.idle_timeout / 8).clamp(Duration::from_millis(10), Duration::from_secs(1));
+        let granularity = (context.keep_alive.idle_timeout / 8)
+            .clamp(Duration::from_millis(10), Duration::from_secs(1));
         Self {
-            index,
             reader,
-            shared,
-            listener,
-            job_sender,
-            running,
-            keep_alive,
-            metrics,
-            admission,
+            shared: Arc::new(PollerShared {
+                completions: Mutex::new(Vec::new()),
+                waker,
+            }),
+            context,
+            batcher,
+            handlers,
             conns: Vec::new(),
             free: Vec::new(),
             next_generation: 0,
@@ -457,8 +476,12 @@ impl<'a> Poller<'a> {
     }
 
     fn run(mut self) {
-        let idle_timeout = self.keep_alive.idle_timeout.max(Duration::from_millis(1));
-        while self.running.load(Ordering::SeqCst) {
+        let idle_timeout = self
+            .context
+            .keep_alive
+            .idle_timeout
+            .max(Duration::from_millis(1));
+        while self.context.running.load(Ordering::SeqCst) {
             self.build_set();
             let now = Instant::now();
             let timeout = self
@@ -477,7 +500,7 @@ impl<'a> Poller<'a> {
             };
             let now = Instant::now();
             if n_ready > 0 {
-                self.metrics.connections().record_wakeup();
+                self.context.metrics.connections().record_wakeup();
             }
 
             let events: Vec<ReadyEvent> = self.set.ready().collect();
@@ -511,14 +534,13 @@ impl<'a> Poller<'a> {
             // Collect completions every round, not only on waker events: the
             // wake and the push are not atomic together, and a spurious
             // collection is one cheap lock.
-            let completed: Vec<Completion> =
-                std::mem::take(&mut self.shared.completions.lock().unwrap());
-            for completion in completed {
-                if let Some(conn) = self.conns[completion.slot].as_mut() {
-                    if conn.generation == completion.generation {
-                        conn.complete(completion.seq, completion.response, completion.trace);
-                        touched.push(completion.slot);
-                    }
+            let completed = std::mem::take(&mut *self.shared.completions());
+            for (slot, generation, seq, response, trace) in completed {
+                let conn = self.conns[slot].as_mut();
+                // A recycled slot holds a newer connection than the answer's.
+                if let Some(conn) = conn.filter(|conn| conn.generation == generation) {
+                    conn.answer(seq, response, trace, self.context.metrics);
+                    touched.push(slot);
                 }
             }
 
@@ -548,12 +570,15 @@ impl<'a> Poller<'a> {
         // waits too; in-process readers use `ServerHandle::metrics`).
         // Reopening is detected on the next build: completions draining the
         // queues wake the poller, and `FALLBACK_POLL` bounds the worst case.
-        let intake_open = self.admission.intake_open();
+        let intake_open = self.context.admission.intake_open();
         self.set.clear();
         self.set.push(self.reader.fd(), Interest::READ, TOKEN_WAKER);
         if intake_open {
-            self.set
-                .push(self.listener.as_raw_fd(), Interest::READ, TOKEN_LISTENER);
+            self.set.push(
+                self.context.listener.as_raw_fd(),
+                Interest::READ,
+                TOKEN_LISTENER,
+            );
         }
         for (slot, conn) in self.conns.iter().enumerate() {
             if let Some(conn) = conn {
@@ -574,11 +599,11 @@ impl<'a> Poller<'a> {
     /// listener; losers see `WouldBlock` immediately.
     fn accept_new(&mut self, now: Instant, idle_timeout: Duration, touched: &mut Vec<usize>) {
         loop {
-            match self.listener.accept() {
+            match self.context.listener.accept() {
                 Ok((stream, _)) => {
                     self.next_generation += 1;
                     let generation = self.next_generation;
-                    let bucket = self.admission.new_bucket(now);
+                    let bucket = self.context.admission.new_bucket(now);
                     let Ok(conn) = Connection::new(stream, generation, now, bucket) else {
                         continue;
                     };
@@ -592,7 +617,7 @@ impl<'a> Poller<'a> {
                             self.conns.len() - 1
                         }
                     };
-                    self.metrics.connections().record_accepted();
+                    self.context.metrics.connections().record_accepted();
                     self.wheel.schedule(now + idle_timeout, slot, generation);
                     touched.push(slot);
                 }
@@ -608,47 +633,41 @@ impl<'a> Poller<'a> {
     }
 
     /// Drive one connection as far as it will go without blocking: parse and
-    /// dispatch new requests, serialize completed responses in order, flush,
+    /// route new requests, serialize completed responses in order, flush,
     /// and close if the session is over.
     fn pump(&mut self, slot: usize, now: Instant) {
-        let mut broken = false;
-        {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        let metrics = self.context.metrics;
+        let requests = conn.take_requests(
+            now,
+            self.context.keep_alive.max_requests,
+            metrics,
+            self.context.admission,
+        );
+        for (seq, request, trace) in requests {
+            let to = ReturnAddress {
+                poller: Arc::clone(&self.shared),
+                slot,
+                generation: conn.generation,
+                seq,
             };
-            let generation = conn.generation;
-            let requests = conn.take_requests(
-                now,
-                self.keep_alive.max_requests,
-                self.metrics,
-                self.admission,
+            let answer = route(
+                request,
+                trace,
+                to,
+                self.context,
+                &self.batcher,
+                &self.handlers,
             );
-            for (seq, request, trace) in requests {
-                let job = HandlerJob {
-                    poller: self.index,
-                    slot,
-                    generation,
-                    seq,
-                    request,
-                    trace,
-                };
-                if self.job_sender.send(job).is_err() {
-                    // Shutting down: the response will never come, and the
-                    // poller is about to drop the connection anyway.
-                    break;
-                }
-            }
-            let conn = self.conns[slot].as_mut().expect("connection still live");
-            conn.serialize_ready(self.running.load(Ordering::SeqCst));
-            if conn.wants_write() {
-                broken = conn.on_writable(now, self.metrics).is_err();
+            if let Some((response, trace)) = answer {
+                conn.answer(seq, response, trace, metrics);
             }
         }
-        if broken
-            || self.conns[slot]
-                .as_ref()
-                .is_some_and(|conn| conn.should_close())
-        {
+        conn.serialize_ready(self.context.running.load(Ordering::SeqCst));
+        let broken = conn.wants_write() && conn.on_writable(now, metrics).is_err();
+        if broken || conn.should_close() {
             self.close(slot);
         }
     }
@@ -670,7 +689,7 @@ impl<'a> Poller<'a> {
             // connection merely waiting on a slow model batch has in-flight
             // work and no stuck output, so it is rescheduled, not evicted.
             if idle_for >= idle_timeout && (conn.is_idle() || conn.wants_write()) {
-                self.metrics.connections().record_idle_eviction();
+                self.context.metrics.connections().record_idle_eviction();
                 self.close(slot);
             } else {
                 let deadline = (conn.last_activity + idle_timeout).max(now + self.granularity);
@@ -684,24 +703,30 @@ impl<'a> Poller<'a> {
     fn close(&mut self, slot: usize) {
         if self.conns[slot].take().is_some() {
             self.free.push(slot);
-            self.metrics.connections().record_closed();
+            self.context.metrics.connections().record_closed();
         }
     }
 }
 
-fn route(request: &Request, context: &RequestContext<'_>, trace: &mut RequestTrace) -> Response {
-    let endpoint = Endpoint::resolve(&request.method, &request.path);
-    trace.endpoint = endpoint;
-    context.metrics.record_request(endpoint);
-    match endpoint {
+/// Take one parsed request as far as the poller goes with it. Returns the
+/// answer when the poller gives it itself; `None` when the request went to
+/// its batch queue or to the handler pool, which answer through `to`.
+fn route(
+    request: Request,
+    trace: RequestTrace,
+    to: ReturnAddress,
+    context: &Context<'_>,
+    batcher: &BatcherHandle<PredictReply>,
+    handlers: &mpsc::Sender<HandlerJob>,
+) -> Option<(Response, RequestTrace)> {
+    let response = match trace.endpoint {
         Endpoint::Health => handle_healthz(context),
         Endpoint::Metrics => {
             // Fit stats come straight off the live registry, so this can never
-            // disagree with the models actually serving.
+            // disagree with the models actually serving. Prometheus text when
+            // asked for via `?format=prometheus` or an `Accept` admitting
+            // text/plain; the JSON document otherwise.
             let fit = context.registry.current().fit_stats();
-            // Content negotiation: Prometheus text when asked for via
-            // `?format=prometheus` or an `Accept` admitting text/plain; the
-            // JSON document otherwise.
             if request.query_param("format") == Some("prometheus")
                 || request.accept.to_ascii_lowercase().contains("text/plain")
             {
@@ -713,26 +738,31 @@ fn route(request: &Request, context: &RequestContext<'_>, trace: &mut RequestTra
         Endpoint::DebugSlow => {
             Response::ok(context.metrics.obs().slow_traces().to_json().to_string())
         }
-        Endpoint::Predict => handle_predict(request, context, trace),
-        Endpoint::Explain => handle_explain(request, context, trace),
-        Endpoint::Reload => handle_reload(&request.body, context),
+        Endpoint::Predict => return submit_predict(&request, trace, to, context, batcher),
+        Endpoint::Explain | Endpoint::Reload => {
+            // Cannot fail: the handlers exit only after every poller has
+            // dropped its sender.
+            let _ = handlers.send(HandlerJob { to, request, trace });
+            return None;
+        }
         Endpoint::Other => match request.path.as_str() {
             "/healthz" | "/metrics" | "/predict" | "/explain" | "/reload" | "/debug/slow" => {
                 Response::error(405, "method not allowed")
             }
             _ => Response::error(404, "no such endpoint"),
         },
-    }
+    };
+    Some((response, trace))
 }
 
-/// Inline the trace's stage breakdown into a response body when the client
-/// opted in with `?trace=1`: the body's top-level object gains a `trace`
-/// section with the id and the stages stamped so far (the write stage is
-/// still ahead — it can only appear in `/debug/slow`).
-fn inline_trace(request: &Request, trace: &RequestTrace, fields: &mut Vec<(&str, JsonValue)>) {
-    if request.query_param("trace") != Some("1") {
+/// Inline the trace's stage breakdown into a response body: the body's
+/// top-level object gains a `trace` section with the id and the stages
+/// stamped so far (the write stage is still ahead — it can only appear in
+/// `/debug/slow`). `None` (the client did not ask) adds nothing.
+fn inline_trace(trace: Option<&RequestTrace>, fields: &mut Vec<(&str, JsonValue)>) {
+    let Some(trace) = trace else {
         return;
-    }
+    };
     fields.push((
         "trace",
         JsonValue::object(vec![
@@ -742,7 +772,7 @@ fn inline_trace(request: &Request, trace: &RequestTrace, fields: &mut Vec<(&str,
     ));
 }
 
-fn handle_healthz(context: &RequestContext<'_>) -> Response {
+fn handle_healthz(context: &Context<'_>) -> Response {
     let registry = context.registry.current();
     let models = registry
         .kinds()
@@ -782,76 +812,90 @@ fn handle_healthz(context: &RequestContext<'_>) -> Response {
     )
 }
 
-/// `POST /predict`: `{"texts": ["…", …]}` (or `{"text": "…"}`), optional
-/// `"model"`. Every text goes through its model's batch queue, so concurrent
-/// requests for the same kind share scoring batches — and requests for
-/// different kinds never wait on each other. Stamps the trace's enqueue /
-/// batch-drain / scored boundaries; `?trace=1` inlines the breakdown.
-fn handle_predict(
+/// `POST /predict`, poller side: `{"texts": ["…", …]}` (or
+/// `{"text": "…"}`), optional `"model"`. Submits all of the request's texts,
+/// as one job, to its model's batch queue, so concurrent requests for the
+/// same kind share scoring batches — and requests for different kinds never
+/// wait on each other. The queue's drain thread answers through `to` (see
+/// [`PredictReply`]). Returns the answer when the request ends here: 4xx
+/// for a bad body, 429 when the queue is full, 503 when the model is not
+/// loaded or the server is shutting down.
+fn submit_predict(
     request: &Request,
-    context: &RequestContext<'_>,
-    trace: &mut RequestTrace,
-) -> Response {
-    let document = match JsonValue::parse(&request.body) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &format!("invalid JSON body: {e}")),
+    mut trace: RequestTrace,
+    to: ReturnAddress,
+    context: &Context<'_>,
+    batcher: &BatcherHandle<PredictReply>,
+) -> Option<(Response, RequestTrace)> {
+    let (kind, texts) = match parse_predict(&request.body, context) {
+        Ok(parsed) => parsed,
+        Err(response) => return Some((response, trace)),
     };
+    trace.kind = Some(kind.name());
+    trace.stamp(TraceStamp::QueueEnqueue);
+    let reply = PredictReply {
+        to,
+        trace: Some(trace),
+        kind,
+        inline_trace: request.query_param("trace") == Some("1"),
+    };
+    let (error, mut reply) = batcher.submit(kind, texts, reply).err()?;
+    // 429 = healthy but full (retry after the hint); 503 = the model or
+    // server is unavailable (the reload/shutdown path).
+    let response = if let PredictError::QueueFull { .. } = error {
+        context
+            .metrics
+            .record_shed(Endpoint::Predict, ShedReason::QueueFull);
+        Response::too_many(&error.to_string(), context.admission.retry_after_secs())
+    } else {
+        Response::error(503, &error.to_string())
+    };
+    // Take the trace back, so the refused reply never answers.
+    reply.trace.take().map(|trace| (response, trace))
+}
+
+/// Parse and validate a `/predict` body: the model to score with and the
+/// texts, or the 4xx answer.
+fn parse_predict(
+    body: &str,
+    context: &Context<'_>,
+) -> Result<(BaselineKind, Vec<String>), Response> {
+    let bad = |message: &str| Response::error(400, message);
+    let document = JsonValue::parse(body).map_err(|e| bad(&format!("invalid JSON body: {e}")))?;
     let texts: Vec<String> = if let Some(array) = document.get("texts").and_then(|v| v.as_array()) {
-        let mut texts = Vec::with_capacity(array.len());
-        for item in array {
-            match item.as_str() {
-                Some(s) => texts.push(s.to_string()),
-                None => return Response::error(400, "`texts` must be an array of strings"),
-            }
-        }
-        texts
+        let texts: Option<Vec<String>> = array
+            .iter()
+            .map(|v| v.as_str().map(str::to_string))
+            .collect();
+        texts.ok_or_else(|| bad("`texts` must be an array of strings"))?
     } else if let Some(text) = document.get("text").and_then(|v| v.as_str()) {
         vec![text.to_string()]
     } else {
-        return Response::error(400, "body needs a `texts` array or a `text` string");
+        return Err(bad("body needs a `texts` array or a `text` string"));
     };
     if texts.is_empty() {
-        return Response::error(400, "no texts to score");
+        return Err(bad("no texts to score"));
     }
     if texts.len() > MAX_TEXTS_PER_REQUEST {
-        return Response::error(
-            413,
-            &format!("at most {MAX_TEXTS_PER_REQUEST} texts per request"),
-        );
+        let message = format!("at most {MAX_TEXTS_PER_REQUEST} texts per request");
+        return Err(Response::error(413, &message));
     }
+    let model = document.get("model").and_then(|v| v.as_str());
+    let (kind, _) = context
+        .registry
+        .current()
+        .resolve(model)
+        .map_err(|e| bad(&e))?;
+    Ok((kind, texts))
+}
 
-    let model_name = document.get("model").and_then(|v| v.as_str());
-    let (kind, _model) = match context.registry.current().resolve(model_name) {
-        Ok(resolved) => resolved,
-        Err(e) => return Response::error(400, &e),
-    };
-    trace.kind = Some(kind.name());
-
-    trace.stamp(TraceStamp::QueueEnqueue);
-    let (rows, timing) = match context.batcher.predict_many(kind, texts) {
-        Ok(scored) => scored,
-        // 429 = healthy but full (retry after the hint); 503 = the model or
-        // server is unavailable (the reload/shutdown path); 500 = broke.
-        Err(e @ PredictError::QueueFull { .. }) => {
-            context
-                .metrics
-                .record_shed(Endpoint::Predict, ShedReason::QueueFull);
-            return Response::too_many(&e.to_string(), context.admission.retry_after_secs());
-        }
-        Err(e @ (PredictError::NotLoaded(_) | PredictError::Shutdown)) => {
-            return Response::error(503, &e.to_string())
-        }
-        Err(e @ PredictError::Failed) => return Response::error(500, &e.to_string()),
-    };
-    if let Some(timing) = timing {
-        trace.stamp_at(TraceStamp::BatchDrain, timing.drained);
-        trace.stamp_at(TraceStamp::Scored, timing.scored);
-    }
-
+/// The `/predict` answer: per text, the probability row, its argmax label
+/// and label index; `trace` inlines the stage breakdown.
+fn predict_answer(kind: BaselineKind, rows: &[Vec<f64>], trace: Option<&RequestTrace>) -> Response {
     let results: Vec<JsonValue> = rows
-        .into_iter()
+        .iter()
         .map(|row| {
-            let label_index = argmax(&row).unwrap_or(0);
+            let label_index = argmax(row).unwrap_or(0);
             JsonValue::object(vec![
                 (
                     "probabilities",
@@ -869,7 +913,7 @@ fn handle_predict(
         ("model", JsonValue::string(kind.name())),
         ("results", JsonValue::Array(results)),
     ];
-    inline_trace(request, trace, &mut fields);
+    inline_trace(trace, &mut fields);
     Response::ok(JsonValue::object(fields).to_string())
 }
 
@@ -879,11 +923,7 @@ fn handle_predict(
 /// the batched `predict_proba` path in [`LimeConfig::batch_size`] chunks.
 /// The LIME run is the `score` stage of the request's trace (it bypasses the
 /// batch queues, so there are no enqueue/drain boundaries).
-fn handle_explain(
-    request: &Request,
-    context: &RequestContext<'_>,
-    trace: &mut RequestTrace,
-) -> Response {
+fn handle_explain(request: &Request, context: &Context<'_>, trace: &mut RequestTrace) -> Response {
     // Graceful degradation: an explanation costs hundreds of LIME scoring
     // calls, so it is the first thing to go under queue pressure — checked
     // before even parsing the body, while `/predict` keeps serving until its
@@ -968,7 +1008,8 @@ fn handle_explain(
         ),
         ("tokens", JsonValue::Array(tokens)),
     ];
-    inline_trace(request, trace, &mut fields);
+    let wanted = request.query_param("trace") == Some("1");
+    inline_trace(wanted.then_some(&*trace), &mut fields);
     Response::ok(JsonValue::object(fields).to_string())
 }
 
@@ -981,7 +1022,7 @@ fn handle_explain(
 /// corpus, `409` if a reload is already in flight. Completion is observable
 /// in `GET /metrics` (`registry.reloads_total`, `registry.corpus_size`) and
 /// `GET /healthz` (`reloading`).
-fn handle_reload(body: &str, context: &RequestContext<'_>) -> Response {
+fn handle_reload(body: &str, context: &Context<'_>) -> Response {
     let posts = match holistix_corpus::io::from_jsonl(body) {
         Ok(posts) => posts,
         Err(e) => return Response::error(400, &format!("invalid JSONL corpus: {e}")),

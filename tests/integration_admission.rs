@@ -11,6 +11,7 @@
 use holistix::corpus::JsonValue;
 use holistix::{BaselineKind, FittedBaseline, Scorer, SpeedProfile};
 use holistix_corpus::HolistixCorpus;
+use holistix_explain::LimeConfig;
 use holistix_serve::{
     http_request, serve, AdmissionConfig, BatchConfig, Endpoint, HttpClient, ModelRegistry,
     RateLimitConfig, ServeConfig, ShedReason,
@@ -408,6 +409,100 @@ fn intake_valve_pauses_reads_until_the_backlog_drains() {
     assert!(metrics.admission().intake_closures_total() >= 1);
     wait_until("the valve to reopen", || {
         !metrics.admission().intake_closed()
+    });
+    server.shutdown();
+}
+
+/// `/predict` never waits for a free handler: with the only handler parked
+/// in an `/explain` whose LIME scoring blocks on the gate, an LR `/predict`
+/// on a fresh connection still answers promptly and bit-identically — the
+/// poller submits it to the LR queue, whose drain thread answers the poller
+/// directly. The handler pool runs only `/explain` and `/reload`.
+#[test]
+fn predict_does_not_wait_for_a_free_handler() {
+    let corpus = HolistixCorpus::generate_small(120, 31);
+    let texts = corpus.texts();
+    let labels = corpus.label_indices();
+    let lr = Arc::new(FittedBaseline::fit(
+        BaselineKind::LogisticRegression,
+        SpeedProfile::Tiny,
+        &texts,
+        &labels,
+        31,
+    ));
+    let release = Arc::new(AtomicBool::new(false));
+    let registry = ModelRegistry::from_scorers(vec![
+        lr.clone() as Arc<dyn Scorer>,
+        Arc::new(GatedScorer {
+            release: Arc::clone(&release),
+        }),
+    ]);
+    let server = serve(
+        "127.0.0.1:0",
+        registry,
+        ServeConfig {
+            handlers: 1,
+            lime: LimeConfig {
+                n_samples: 20,
+                ..LimeConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.addr();
+    let metrics = server.metrics();
+    let explains = || {
+        let snapshot = metrics.snapshot(None);
+        let requests = snapshot.get("requests").unwrap();
+        requests.get("explain").unwrap().as_f64().unwrap()
+    };
+
+    std::thread::scope(|scope| {
+        let explain = scope.spawn(move || {
+            http_request(
+                addr,
+                "POST",
+                "/explain",
+                Some(r#"{"text":"i feel alone and tired","model":"BERT"}"#),
+            )
+        });
+        wait_until("the explanation to be taken", || explains() == 1.0);
+
+        let text = texts[0];
+        let body = format!(
+            "{{\"text\":{},\"model\":\"LR\"}}",
+            holistix::corpus::json::json_escape(text)
+        );
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        scope.spawn(move || {
+            let _ = done_tx.send(http_request(addr, "POST", "/predict", Some(&body)));
+        });
+        let answered = done_rx.recv_timeout(Duration::from_secs(2));
+        // Open the gate before asserting, so a failure never hangs the suite.
+        release.store(true, Ordering::SeqCst);
+
+        let (status, response) = answered
+            .expect("/predict waited for the parked handler")
+            .expect("LR predict");
+        assert_eq!(status, 200, "{response}");
+        let document = JsonValue::parse(&response).unwrap();
+        let got: Vec<f64> = document.get("results").unwrap().as_array().unwrap()[0]
+            .get("probabilities")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|p| p.as_f64().unwrap())
+            .collect();
+        let want = lr.probabilities_one(text);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "LR row diverged");
+        }
+
+        let (status, body) = explain.join().unwrap().expect("explain");
+        assert_eq!(status, 200, "{body}");
     });
     server.shutdown();
 }

@@ -455,3 +455,84 @@ fn explain_endpoint_matches_direct_lime() {
     }
     server.shutdown();
 }
+
+/// A scorer whose `probabilities` always panics. Registered as the BERT
+/// analogue beside a working LR.
+struct PanickingScorer;
+
+impl Scorer for PanickingScorer {
+    fn probabilities(&self, _texts: &[&str]) -> Vec<Vec<f64>> {
+        panic!("injected scorer failure");
+    }
+
+    fn kind(&self) -> BaselineKind {
+        BaselineKind::Transformer(holistix::transformer::ModelKind::Bert)
+    }
+
+    fn cost_hint(&self) -> Duration {
+        Duration::from_millis(1)
+    }
+}
+
+/// Every request gets exactly one response, even when its scorer panics
+/// mid-batch: the request answers 500 instead of leaving its connection
+/// waiting forever, the same keep-alive connection goes on to serve a
+/// bit-identical LR prediction and `/healthz`, and the server still shuts
+/// down.
+#[test]
+fn panicking_scorer_answers_500_and_the_connection_keeps_serving() {
+    let corpus = HolistixCorpus::generate_small(120, 17);
+    let texts = corpus.texts();
+    let labels = corpus.label_indices();
+    let lr = Arc::new(FittedBaseline::fit(
+        BaselineKind::LogisticRegression,
+        SpeedProfile::Tiny,
+        &texts,
+        &labels,
+        17,
+    ));
+    let registry = ModelRegistry::from_scorers(vec![
+        lr.clone() as Arc<dyn Scorer>,
+        Arc::new(PanickingScorer),
+    ]);
+    let server = serve("127.0.0.1:0", registry, ServeConfig::default()).expect("bind loopback");
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+
+    let (status, body) = client
+        .request(
+            "POST",
+            "/predict",
+            Some(r#"{"text":"this batch panics","model":"BERT"}"#),
+        )
+        .expect("an answer despite the panic");
+    assert_eq!(status, 500, "{body}");
+
+    let text = texts[0];
+    let body = format!(
+        "{{\"text\":{},\"model\":\"LR\"}}",
+        holistix::corpus::json::json_escape(text)
+    );
+    let (status, response) = client
+        .request("POST", "/predict", Some(&body))
+        .expect("LR predict");
+    assert_eq!(status, 200, "{response}");
+    let document = JsonValue::parse(&response).unwrap();
+    let got: Vec<f64> = document.get("results").unwrap().as_array().unwrap()[0]
+        .get("probabilities")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|p| p.as_f64().unwrap())
+        .collect();
+    let want = lr.probabilities_one(text);
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g.to_bits(), w.to_bits(), "LR row diverged");
+    }
+
+    let (status, body) = client.request("GET", "/healthz", None).expect("healthz");
+    assert_eq!(status, 200, "{body}");
+    drop(client);
+    server.shutdown();
+}
