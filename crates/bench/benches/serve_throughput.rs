@@ -11,12 +11,14 @@
 //! The corpus is the paper-scale one the other serving benches use: the
 //! Table I lexicon augmented with a 12k-term synthetic vocabulary
 //! (`HolistixCorpus::augment_vocabulary`), so per-text scoring cost is
-//! realistic. The sweep varies the LR queue's coalescing window
-//! (`max_wait` 0/1/2/5/10 ms) under concurrent keep-alive clients; wider
-//! windows assemble bigger batches (fewer, better-amortised scoring calls)
-//! at the price of per-request latency. The headline table prints requests/s
-//! and the mean scored-batch size per setting so the trade-off is visible in
-//! one run; criterion per-iteration timings follow.
+//! realistic. The sweep varies the LR queue's window bound (`max_wait`
+//! 0/1/2/5/10 ms) under concurrent keep-alive clients. A queue waits for more
+//! texts only while jobs arrive at least one per `max_wait / max_batch`, so a
+//! wider bound holds batches open at lower rates: bigger batches (fewer,
+//! better-amortised scoring calls) at the price of per-request latency. The
+//! headline table prints requests/s and the mean scored-batch size per
+//! setting so the trade-off is visible in one run; criterion per-iteration
+//! timings follow.
 //!
 //! Since the connection-multiplexer redesign there is a second headline
 //! sweep: requests/s and resident OS thread count as a function of **idle
@@ -174,9 +176,9 @@ fn drive_model(
 
 /// The long-promised real-slow-backend sweep: a `Fast`-profile MentalBERT
 /// analogue and its i8-quantized sibling registered beside LR via
-/// [`ModelRegistry::from_scorers`], so per-kind queue isolation,
-/// [`BatchConfig::sized_for`] and `explain_shed_depth` degradation are
-/// measured against a genuinely slow scorer instead of a flag-gated stub.
+/// [`ModelRegistry::from_scorers`], so per-kind queue isolation and
+/// `explain_shed_depth` degradation are measured against a genuinely slow
+/// scorer instead of a flag-gated stub.
 /// Returns the sweep's JSON section for the trajectory files.
 fn real_backend_sweep() -> JsonValue {
     let corpus = HolistixCorpus::generate_small(120, 7);
@@ -226,13 +228,10 @@ fn real_backend_sweep() -> JsonValue {
     };
 
     // Per-kind throughput, each kind on a fresh server so queue metrics and
-    // warmup effects never bleed across arms. The f64-vs-i8 ratio is the
-    // serving-level quantization speedup, which compounds two effects: the
-    // cheaper i8 kernels, and the i8 scorer's *measured* cost hint keeping
-    // its coalescing window near the base 1 ms while the f64 kind's declared
-    // 50 ms hint stretches its window via `sized_for` (at this client count
-    // the f64 queue is window-bound — exactly how a production registry
-    // would behave with these hints).
+    // warmup effects never bleed across arms. Every queue runs the same
+    // batch config (a 1 ms upper bound on the window, used only when arrivals
+    // would fill the batch within it), so the f64-vs-i8 ratio is the
+    // serving-level quantization speedup of the kernels alone.
     let requests = 25usize;
     let total = (CLIENTS * requests) as f64;
     let mut req_per_s = Vec::new();

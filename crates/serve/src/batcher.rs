@@ -7,28 +7,37 @@
 //! over one queue for every model, which meant a 50 ms transformer batch
 //! stalled the 200 µs logistic-regression batch queued behind it. Since the
 //! `Scorer` redesign each registered kind owns a [`BatchQueue`]: its own
-//! `mpsc` channel, its own drain loop on its own thread, and its own
-//! [`BatchConfig`] sized from the scorer's
-//! [`cost_hint`](holistix::Scorer::cost_hint) — expensive scorers coalesce
-//! over wider windows (waiting is cheap relative to their batch service
-//! time), cheap scorers keep the low-latency window. Queues share nothing but
-//! the registry handle and the metrics sink, so saturating one cannot delay
-//! another.
+//! `mpsc` channel and its own drain loop on its own thread. Queues share
+//! nothing but the registry handle and the metrics sink, so saturating one
+//! cannot delay another.
 //!
-//! Each drain loop collects jobs until the batch holds
-//! [`BatchConfig::max_batch`] texts (or [`BatchConfig::max_wait`] elapses
-//! after the first job), scores them with one
-//! [`Scorer::probabilities`](holistix::Scorer::probabilities) call, and hands
-//! each job its slice of the rows. A request is never split across batches.
+//! Each drain loop takes every job already queued until the batch holds
+//! [`BatchConfig::max_batch`] texts, scores them with one
+//! [`Scorer::probabilities`](holistix::Scorer::probabilities) call, and
+//! hands each job its slice of the rows. A request is never split across
+//! batches. When the channel runs empty before the batch is full, the loop
+//! closes the batch at once unless jobs are arriving fast enough to fill it
+//! within [`BatchConfig::max_wait`]: it keeps an exponentially weighted
+//! average of the gaps between the jobs' enqueue instants, and waits (up to
+//! `max_wait` after the first job) only while that average is at most
+//! `max_wait / max_batch`. An idle queue therefore answers a lone request
+//! after one scoring call instead of after the whole window, while a loaded
+//! queue still coalesces full, well-amortised batches. Every batch's close
+//! reason (`full`, `empty` or `window`) is counted in `/metrics`.
+//!
+//! A scorer that panics costs its batch, not its queue: the unwind is caught
+//! around the scoring call, the batch's texts leave the depth gauge, each
+//! job's reply answers for itself when dropped, and the loop keeps draining.
 //!
 //! Batching is invisible in the results: `probabilities` rows depend only on
 //! their own text (a property the core pipeline tests pin), so coalescing
 //! concurrent requests changes latency, never answers.
 
-use crate::metrics::{QueueMetrics, ServeMetrics};
+use crate::metrics::{BatchClose, QueueMetrics, ServeMetrics};
 use crate::registry::SharedRegistry;
 use holistix::BaselineKind;
-use std::sync::mpsc::{Receiver, Sender};
+use std::panic::AssertUnwindSafe;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,7 +48,11 @@ pub struct BatchConfig {
     /// is never split across batches: the one that crosses this count joins
     /// whole, so a batch may exceed it by up to one request's texts less one.
     pub max_batch: usize,
-    /// How long the scheduler waits for more texts after the first one arrives.
+    /// The longest the drain loop holds a batch open for more texts after
+    /// its first job arrives. An upper bound, used only while jobs arrive
+    /// fast enough to fill `max_batch` within it (an average gap of at most
+    /// `max_wait / max_batch`); slower queues score as soon as the channel
+    /// is empty.
     pub max_wait: Duration,
 }
 
@@ -52,23 +65,42 @@ impl Default for BatchConfig {
     }
 }
 
-/// Widest coalescing window a cost hint may stretch a queue to: even a very
-/// slow scorer should not hold a lone request for more than this.
-const MAX_COST_SIZED_WAIT: Duration = Duration::from_millis(100);
+/// The newest gap's weight in the arrival-gap average is `1 / GAP_WEIGHT`,
+/// so the average follows roughly the last `2 * GAP_WEIGHT` arrivals.
+const GAP_WEIGHT: u32 = 8;
 
-impl BatchConfig {
-    /// Derive a queue's config from this base config and a scorer's expected
-    /// per-text cost: the coalescing window is at least one text's scoring
-    /// time (while one text scores, the next batch assembles for free — a
-    /// wider window trades no throughput for bigger, better-amortised
-    /// batches), never narrower than the base window, and capped at
-    /// [`MAX_COST_SIZED_WAIT`]. A ~200 µs classical scorer keeps the base
-    /// 5 ms window; a ~50 ms transformer queue widens to 50 ms.
-    pub fn sized_for(&self, cost_hint: Duration) -> BatchConfig {
-        BatchConfig {
-            max_batch: self.max_batch,
-            max_wait: self.max_wait.max(cost_hint.min(MAX_COST_SIZED_WAIT)),
+/// A drain loop's estimate of how fast jobs arrive: an exponentially
+/// weighted average of the gaps between consecutive jobs' enqueue instants.
+/// It reads only the stamps the jobs already carry, so producers share no
+/// state with it.
+struct ArrivalGap {
+    /// The latest enqueue instant seen.
+    last: Option<Instant>,
+    /// The average gap. Starts at `cap`: a queue with no history is idle.
+    mean: Duration,
+    /// Longest gap counted. Any gap this long means an idle queue, and the
+    /// cap bounds how many arrivals it takes to forget a long pause.
+    cap: Duration,
+}
+
+impl ArrivalGap {
+    fn new(cap: Duration) -> Self {
+        Self {
+            last: None,
+            mean: cap,
+            cap,
         }
+    }
+
+    /// Fold one job's enqueue instant into the average. Jobs from different
+    /// pollers can reach the channel slightly out of stamp order; an
+    /// instant earlier than the latest counts as a zero gap.
+    fn observe(&mut self, enqueued: Instant) {
+        if let Some(last) = self.last {
+            let gap = enqueued.saturating_duration_since(last).min(self.cap);
+            self.mean = self.mean - self.mean / GAP_WEIGHT + gap / GAP_WEIGHT;
+        }
+        self.last = Some(self.last.map_or(enqueued, |last| last.max(enqueued)));
     }
 }
 
@@ -203,31 +235,45 @@ impl<R: Reply> BatchQueue<R> {
     /// assembled batch always finishes on the scorer it started with.
     pub(crate) fn run(self, registry: &SharedRegistry) {
         let max_batch = self.config.max_batch.max(1);
+        let max_wait = self.config.max_wait;
+        // The average gap at which the window would fill a batch anyway.
+        let fill_gap = max_wait / u32::try_from(max_batch).unwrap_or(u32::MAX);
+        let mut arrivals = ArrivalGap::new(max_wait);
         while let Ok(first) = self.receiver.recv() {
-            let deadline = Instant::now() + self.config.max_wait;
+            let deadline = Instant::now() + max_wait;
+            arrivals.observe(first.enqueued);
             let mut texts = first.texts.len();
             let mut jobs = vec![first];
-            while texts < max_batch {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
+            let close = loop {
+                if texts >= max_batch {
+                    break BatchClose::Full;
                 }
-                match self.receiver.recv_timeout(remaining) {
-                    Ok(job) => {
-                        texts += job.texts.len();
-                        jobs.push(job);
+                let job = match self.receiver.try_recv() {
+                    Ok(job) => job,
+                    Err(TryRecvError::Empty) if arrivals.mean <= fill_gap => {
+                        let remaining = deadline.saturating_duration_since(Instant::now());
+                        match self.receiver.recv_timeout(remaining) {
+                            Ok(job) => job,
+                            Err(RecvTimeoutError::Timeout) => break BatchClose::Window,
+                            Err(RecvTimeoutError::Disconnected) => break BatchClose::Empty,
+                        }
                     }
-                    Err(_) => break,
-                }
-            }
+                    Err(_) => break BatchClose::Empty,
+                };
+                arrivals.observe(job.enqueued);
+                texts += job.texts.len();
+                jobs.push(job);
+            };
+            self.metrics.record_close(close);
             self.score_batch(jobs, registry);
         }
     }
 
     /// Score one assembled batch with this queue's scorer (one batched
     /// `probabilities` call) and send every job its rows with the batch's
-    /// drain and score instants. If scoring panics, the jobs drop unanswered
-    /// and each reply's own drop answers for it.
+    /// drain and score instants. If scoring panics, the batch's texts leave
+    /// the depth gauge and the jobs drop unanswered: each reply's own drop
+    /// answers for it, and the drain loop goes on to the next batch.
     fn score_batch(&self, jobs: Vec<Job<R>>, registry: &SharedRegistry) {
         let drained = Instant::now();
         let n_texts: usize = jobs.iter().map(|job| job.texts.len()).sum();
@@ -246,7 +292,11 @@ impl<R: Reply> BatchQueue<R> {
             .iter()
             .flat_map(|job| job.texts.iter().map(String::as_str))
             .collect();
-        let rows = scorer.probabilities(&texts);
+        let Ok(rows) = std::panic::catch_unwind(AssertUnwindSafe(|| scorer.probabilities(&texts)))
+        else {
+            self.metrics.record_dropped(n_texts);
+            return;
+        };
         let scored = Instant::now();
         let waits: Vec<u64> = jobs
             .iter()
@@ -268,21 +318,19 @@ impl<R: Reply> BatchQueue<R> {
 }
 
 /// Build one queue per registered scorer: the shared [`BatcherHandle`] for the
-/// pollers and the [`BatchQueue`]s for the server to spawn, each queue's
-/// window sized from its scorer's cost hint via [`BatchConfig::sized_for`].
-/// `max_depth` is the per-kind admission cap in texts
+/// pollers and the [`BatchQueue`]s for the server to spawn, each with the
+/// same `config`. `max_depth` is the per-kind admission cap in texts
 /// ([`AdmissionConfig::max_queue_depth`](crate::AdmissionConfig)); each kind
 /// gets its own budget, so one saturated queue sheds alone.
 pub(crate) fn build_queues<R>(
     registry: &SharedRegistry,
-    base: &BatchConfig,
+    config: &BatchConfig,
     metrics: &ServeMetrics,
     max_depth: usize,
 ) -> (BatcherHandle<R>, Vec<BatchQueue<R>>) {
-    let current = registry.current();
     let mut senders = Vec::new();
     let mut queues = Vec::new();
-    for (kind, scorer) in current.scorers() {
+    for kind in registry.current().kinds() {
         let (sender, receiver) = std::sync::mpsc::channel();
         let queue_metrics = metrics.queue(&kind.name(), kind.scorer_family());
         senders.push(QueueSender {
@@ -294,7 +342,7 @@ pub(crate) fn build_queues<R>(
         queues.push(BatchQueue {
             kind,
             receiver,
-            config: base.sized_for(scorer.cost_hint()),
+            config: config.clone(),
             metrics: queue_metrics,
         });
     }
@@ -500,16 +548,92 @@ mod tests {
         assert_eq!(metrics.queue("LR", "classical").depth(), 3);
     }
 
+    /// The close counters of `LR`'s queue, as `/metrics` JSON reports them.
+    fn closes(metrics: &ServeMetrics) -> [Option<f64>; 3] {
+        let snapshot = metrics.snapshot(None);
+        let closes = snapshot
+            .get("queues")
+            .and_then(|queues| queues.get("LR"))
+            .and_then(|queue| queue.get("batch_close"))
+            .expect("LR close counters");
+        ["full", "empty", "window"].map(|reason| closes.get(reason).and_then(|n| n.as_f64()))
+    }
+
     #[test]
-    fn cost_sized_windows_widen_for_expensive_scorers() {
-        let base = BatchConfig::default();
-        let classical = base.sized_for(Duration::from_micros(200));
-        assert_eq!(classical.max_wait, base.max_wait);
-        let transformer = base.sized_for(Duration::from_millis(50));
-        assert_eq!(transformer.max_wait, Duration::from_millis(50));
-        // Pathologically slow scorers are capped.
-        let glacial = base.sized_for(Duration::from_secs(10));
-        assert_eq!(glacial.max_wait, MAX_COST_SIZED_WAIT);
-        assert_eq!(glacial.max_batch, base.max_batch);
+    fn a_lone_job_at_an_idle_rate_is_scored_without_waiting_out_the_window() {
+        let registry = SharedRegistry::new(tiny_registry());
+        let metrics = ServeMetrics::new();
+        let config = BatchConfig {
+            max_batch: 32,
+            max_wait: Duration::from_secs(5),
+        };
+        let (handle, queues) = build_queues(&registry, &config, &metrics, usize::MAX);
+        let (reply, outcome) = reply();
+        let (submitted, scored) = std::thread::scope(|scope| {
+            for queue in queues {
+                scope.spawn(|| queue.run(&registry));
+            }
+            let submitted = Instant::now();
+            handle.submit(LR, texts(1), reply).map_err(|e| e.0).unwrap();
+            let (_, _, scored) = outcome.recv().unwrap().unwrap();
+            drop(handle); // lets every drain loop exit
+            (submitted, scored)
+        });
+        // A queue with no arrival history is idle: the empty channel closes
+        // the batch at once instead of after the 5 s window.
+        let latency = scored.duration_since(submitted);
+        assert!(
+            latency < Duration::from_secs(1),
+            "lone job took {latency:?}"
+        );
+        assert_eq!(closes(&metrics), [Some(0.0), Some(1.0), Some(0.0)]);
+    }
+
+    #[test]
+    fn dense_arrivals_keep_the_window_open_for_a_late_job() {
+        let registry = SharedRegistry::new(tiny_registry());
+        let model = registry.current().get(LR).unwrap();
+        let metrics = ServeMetrics::new();
+        let config = BatchConfig {
+            max_batch: 64,
+            max_wait: Duration::from_secs(5),
+        };
+        let (handle, queues) = build_queues(&registry, &config, &metrics, usize::MAX);
+        // 40 one-text jobs queued back to back before the drain loop starts:
+        // their gaps are microseconds, far below the 78 ms (5 s / 64) at
+        // which the window would fill a batch.
+        let mut outcomes = Vec::new();
+        for _ in 0..40 {
+            let (reply, outcome) = reply();
+            handle.submit(LR, texts(1), reply).map_err(|e| e.0).unwrap();
+            outcomes.push(outcome);
+        }
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            for queue in queues {
+                scope.spawn(|| queue.run(&registry));
+            }
+            // The loop drains all 40, finds the channel empty and, at this
+            // rate, keeps the batch open: the late job joins and fills it.
+            std::thread::sleep(Duration::from_millis(50));
+            let (reply, outcome) = reply();
+            handle
+                .submit(LR, texts(24), reply)
+                .map_err(|e| e.0)
+                .unwrap();
+            outcomes.push(outcome);
+            let answers = outcomes.iter().map(|o| o.recv().unwrap().unwrap());
+            let answers = answers.collect();
+            drop(handle); // lets every drain loop exit
+            answers
+        });
+        let want = model.probabilities_one("hello");
+        let mut drained = Vec::new();
+        for (rows, at, _) in answers {
+            assert!(rows.iter().all(|row| *row == want));
+            drained.push(at);
+        }
+        assert!(drained.iter().all(|&at| at == drained[0]), "split batch");
+        assert_eq!(metrics.queue("LR", "classical").max_batch_size(), 64);
+        assert_eq!(closes(&metrics), [Some(1.0), Some(0.0), Some(0.0)]);
     }
 }

@@ -30,8 +30,9 @@
 //!                  │  │   404/405, refused /predict (4xx, 429, 503)        │
 //!                  │  ├─ /predict: one job per request, never waits        │
 //!                  │  │   BatchQueue per kind ("LR", "BERT", …): drains    │
-//!                  │  │   ≥ max_batch texts or waits out max_wait (sized   │
-//!                  │  │   from cost_hint) ─► Arc<dyn Scorer>               │
+//!                  │  │   what is queued, ≤ max_batch texts; waits up to   │
+//!                  │  │   max_wait only at a rate that fills the batch     │
+//!                  │  │   ─► Arc<dyn Scorer>                               │
 //!                  │  │   ::probabilities, one call per batch; rows        │
 //!                  │  │   sliced per job, response built                   │
 //!                  │  └─ /explain, /reload: job mpsc ─► handler threads    │
@@ -53,7 +54,7 @@
 //!
 //! * **The [`Scorer`](holistix::Scorer) seam** — everything here is written
 //!   against `Arc<dyn Scorer>` (batched `probabilities` + `kind` +
-//!   `cost_hint`), never a concrete model type. The classical sparse
+//!   `labels`), never a concrete model type. The classical sparse
 //!   pipeline, the transformer analogues
 //!   ([`TransformerScorer`](holistix::TransformerScorer)) and any future
 //!   backend plug into the registry, the batch queues and `/explain` by
@@ -72,13 +73,16 @@
 //!   models and `/predict` keeps answering throughout (an integration test
 //!   pins this liveness).
 //! * **[`batcher`]** — one `BatchQueue` per registered
-//!   scorer: its own channel, its own drain thread, its own
-//!   [`BatchConfig`] window sized from the scorer's `cost_hint`
-//!   ([`BatchConfig::sized_for`]). A poller submits each `/predict` as one
-//!   job holding all of its texts and returns to its sockets; each drain loop
-//!   coalesces jobs until it holds [`BatchConfig::max_batch`] texts (or its
-//!   window closes), never splitting a request, scores them with one
-//!   `probabilities` call, and answers each request straight to its poller.
+//!   scorer: its own channel and its own drain thread. A poller submits each
+//!   `/predict` as one job holding all of its texts and returns to its
+//!   sockets; each drain loop coalesces the queued jobs up to
+//!   [`BatchConfig::max_batch`] texts, never splitting a request, scores them
+//!   with one `probabilities` call, and answers each request straight to its
+//!   poller. It closes a batch as soon as the channel is empty, and holds it
+//!   open for up to [`BatchConfig::max_wait`] only while the observed
+//!   arrival rate would fill `max_batch` within that window: an idle queue
+//!   answers after one scoring call, a loaded one still amortises full
+//!   batches.
 //!   A saturated transformer queue therefore cannot delay a classical batch —
 //!   the isolation an integration test pins with a deliberately slow scorer
 //!   stub. Batching is invisible in the answers: batched scoring is
@@ -95,9 +99,9 @@
 //!   any number of requests (what the `serve_throughput` bench and the CI
 //!   smoke drive); [`http_request`] is a one-shot wrapper over it.
 //! * **[`metrics`]** — request counters, per-kind queue sections (depth,
-//!   batch-size histogram, queue-wait and scoring-time percentiles),
-//!   `keepalive_reuses_total`, the connection section (open gauge,
-//!   accept/close totals, readiness wakeups, pipelined requests, idle
+//!   batch-size histogram, batch close reasons, queue-wait and scoring-time
+//!   percentiles), `keepalive_reuses_total`, the connection section (open
+//!   gauge, accept/close totals, readiness wakeups, pipelined requests, idle
 //!   evictions), the configured thread plan next to the live OS thread
 //!   count, the cross-queue batch histogram and end-to-end request latency
 //!   percentiles — served by `GET /metrics` as JSON *and* Prometheus text.

@@ -147,6 +147,34 @@ impl ShedReason {
     }
 }
 
+/// Why a batch queue's drain loop closed a batch. Doubles as the `reason`
+/// label on `holistix_queue_batch_close_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchClose {
+    /// The batch reached `max_batch` texts.
+    Full,
+    /// The channel ran empty while jobs were arriving too slowly to fill the
+    /// batch within the window (or the queue was shutting down).
+    Empty,
+    /// The window ran out: jobs were arriving fast enough to wait for, but
+    /// not enough came within `max_wait`.
+    Window,
+}
+
+impl BatchClose {
+    /// Every reason, in index order (`self as usize`).
+    pub const ALL: [BatchClose; 3] = [BatchClose::Full, BatchClose::Empty, BatchClose::Window];
+
+    /// The reason's name: JSON key and Prometheus `reason` label value.
+    pub fn name(self) -> &'static str {
+        match self {
+            BatchClose::Full => "full",
+            BatchClose::Empty => "empty",
+            BatchClose::Window => "window",
+        }
+    }
+}
+
 /// The configured admission limits, echoed into `/metrics` so an operator can
 /// read the active policy next to the counters it drives.
 #[derive(Debug, Clone, Copy)]
@@ -340,6 +368,8 @@ pub struct QueueMetrics {
     queue_wait: LogHistogram,
     /// Per-batch `probabilities` call duration (µs).
     score: LogHistogram,
+    /// Closed batches, indexed by [`BatchClose`] (`reason as usize`).
+    batch_close: [AtomicU64; 3],
 }
 
 impl QueueMetrics {
@@ -411,6 +441,11 @@ impl QueueMetrics {
             self.queue_wait.record(micros);
         }
         self.score.record(score_us);
+    }
+
+    /// Count one batch closed by the drain loop, scored or not.
+    pub fn record_close(&self, reason: BatchClose) {
+        self.batch_close[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Texts currently waiting in (or being scored from) this queue.
@@ -631,6 +666,8 @@ const QUEUE_BATCH_SIZE: &str = "holistix_queue_batch_size Scored batch sizes for
 const QUEUE_WAIT: &str =
     "holistix_queue_wait_us Per-job wait from enqueue to batch drain, microseconds.";
 const QUEUE_SCORE: &str = "holistix_queue_score_us Per-batch scoring call duration, microseconds.";
+const QUEUE_BATCH_CLOSE: &str =
+    "holistix_queue_batch_close_total Batches closed by this queue's drain loop, by reason.";
 const RELOADS: &str = "holistix_reloads_total Completed registry reloads.";
 const LAST_FIT: &str =
     "holistix_registry_last_fit_us Duration of the registry's most recent fit, microseconds.";
@@ -647,6 +684,7 @@ struct QueueReading {
     batches: HistogramSnapshot,
     queue_wait: HistogramSnapshot,
     score: HistogramSnapshot,
+    batch_close: [u64; 3],
 }
 
 /// Shared metrics sink. One instance per server, shared by pollers, batch
@@ -882,6 +920,7 @@ impl ServeMetrics {
                 batches: queue.batches.snapshot(),
                 queue_wait: queue.queue_wait.snapshot(),
                 score: queue.score.snapshot(),
+                batch_close: queue.batch_close.each_ref().map(load),
             })
             .collect();
         let mut batches = HistogramSnapshot::empty();
@@ -1023,6 +1062,13 @@ impl ServeMetrics {
                 ("score_us", QUEUE_SCORE, Latency(queue.score)),
             ] {
                 sink.record(&["queues", kind, key], series(family, &labels), value);
+            }
+            for reason in BatchClose::ALL {
+                let name = reason.name();
+                let labels = [labels[0], labels[1], ("reason", name)];
+                let count = Counter(queue.batch_close[reason as usize]);
+                let path = ["queues", kind, "batch_close", name];
+                sink.record(&path, series(QUEUE_BATCH_CLOSE, &labels), count);
             }
         }
 
@@ -1546,10 +1592,10 @@ mod tests {
 
     /// The fixed recording script behind the populated golden documents:
     /// every endpoint counter, errors, keep-alive reuses, batch sizes below
-    /// and above 32 on two queues of different `scorer_kind`, finalized
-    /// traces on two endpoints, sheds, valve transitions, the admission
-    /// limits (with or without a rate limit), connections, a reload, the
-    /// thread plan and fit stats.
+    /// and above 32 and batch close reasons on two queues of different
+    /// `scorer_kind`, finalized traces on two endpoints, sheds, valve
+    /// transitions, the admission limits (with or without a rate limit),
+    /// connections, a reload, the thread plan and fit stats.
     fn golden_script(rate_limit: Option<(f64, f64)>) -> (ServeMetrics, FitStats) {
         use TraceStamp::*;
         let metrics = ServeMetrics::new();
@@ -1574,6 +1620,11 @@ mod tests {
         score_batch(&bert, 100, 910_000);
         lr.record_enqueued();
         lr.record_enqueued();
+        for close in [BatchClose::Empty, BatchClose::Window, BatchClose::Full] {
+            lr.record_close(close);
+        }
+        bert.record_close(BatchClose::Empty);
+        bert.record_close(BatchClose::Full);
 
         finalize(
             &metrics,

@@ -12,9 +12,8 @@
 //! Since the `Scorer` API redesign the registry is backend-agnostic: it stores
 //! [`Arc<dyn Scorer>`](Scorer), so a classical sparse pipeline, a
 //! transformer analogue and any future backend (or a test stub) serve behind
-//! the same lookup, and the per-kind batch queues size themselves from each
-//! scorer's [`cost_hint`](Scorer::cost_hint). Heterogeneous entries come in
-//! through [`ModelRegistry::from_scorers`].
+//! the same lookup, each with its own batch queue. Heterogeneous entries come
+//! in through [`ModelRegistry::from_scorers`].
 //!
 //! A registry is immutable once built; *replacement* is what [`SharedRegistry`]
 //! adds. `POST /reload` fits a fresh [`ModelRegistry`] off-thread and
@@ -210,12 +209,6 @@ impl ModelRegistry {
     /// The registered kinds, in registration order.
     pub fn kinds(&self) -> Vec<BaselineKind> {
         self.entries.iter().map(|(k, _)| *k).collect()
-    }
-
-    /// `(kind, scorer)` pairs in registration order — what the server iterates
-    /// to spawn one batch queue per registered scorer.
-    pub fn scorers(&self) -> impl Iterator<Item = (BaselineKind, &Arc<dyn Scorer>)> {
-        self.entries.iter().map(|(k, s)| (*k, s))
     }
 
     /// The default model: the first registered one.

@@ -128,10 +128,10 @@ pub struct ServeConfig {
     /// to the batch queues — so this bounds only how many explanations and
     /// reload validations run at once.
     pub handlers: usize,
-    /// Base micro-batching knobs. Each registered scorer's queue derives its
-    /// own window from this and the scorer's
-    /// [`cost_hint`](holistix::Scorer::cost_hint)
-    /// (see [`BatchConfig::sized_for`]).
+    /// Micro-batching knobs, the same for every registered scorer's queue.
+    /// Each queue closes a batch as soon as its channel is empty unless jobs
+    /// arrive fast enough to fill `max_batch` within `max_wait` (see
+    /// [`BatchConfig::max_wait`]).
     pub batch: BatchConfig,
     /// Connection keep-alive policy.
     pub keep_alive: KeepAliveConfig,

@@ -44,10 +44,6 @@ impl Scorer for GatedScorer {
     fn kind(&self) -> BaselineKind {
         BaselineKind::Transformer(holistix::transformer::ModelKind::Bert)
     }
-
-    fn cost_hint(&self) -> Duration {
-        Duration::from_millis(50)
-    }
 }
 
 /// Poll `check` until it holds — a progress deadline, not a timing

@@ -17,26 +17,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn start_server() -> (ServerHandle, Arc<dyn Scorer>) {
-    let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
-        kinds: vec![BaselineKind::LogisticRegression],
-        profile: SpeedProfile::Tiny,
-        training_posts: 120,
-        seed: 29,
-    });
-    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
-    let config = ServeConfig {
-        batch: BatchConfig {
-            max_batch: 8,
-            // A real batching window, so the second pipelined request reliably
-            // arrives while the first is still in flight.
-            max_wait: Duration::from_millis(50),
-        },
-        ..ServeConfig::default()
-    };
-    let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
-    (server, model)
-}
+mod common;
+use common::HoldFirstBatch;
+
+/// The default batch window: a bound the idle queues here never wait out.
+const MAX_WAIT: Duration = Duration::from_millis(5);
 
 fn predict_request(text: &str) -> String {
     let body = format!("{{\"text\":{}}}", holistix::corpus::json::json_escape(text));
@@ -50,14 +35,39 @@ fn predict_request(text: &str) -> String {
 /// The pipelining bar: two complete requests in one `write` are answered in
 /// request order, and each body is byte-identical to the same request sent
 /// sequentially on its own connection — pipelining changes scheduling, never
-/// answers. The `/metrics` pipelined counter proves the overlap happened.
+/// answers. The scorer holds the first request's batch, so the second is
+/// parsed while the first is provably in flight; the `/metrics` pipelined
+/// counter shows the overlap.
 #[test]
 fn two_requests_in_one_write_answer_in_order_bit_identically() {
-    let (server, _model) = start_server();
+    let registry = lr_registry();
+    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
+    let held = HoldFirstBatch::new(model);
+    let server = serve_with(
+        ModelRegistry::from_scorers(vec![held.clone() as Arc<dyn Scorer>]),
+        MAX_WAIT,
+    );
     let addr = server.addr();
 
     let text_a = "i feel so alone lately and nobody calls";
     let text_b = "my job exhausts me beyond what i can carry";
+    // Both requests in a single write; the poller parses the second while
+    // the first is held in the scorer.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let pipelined = format!("{}{}", predict_request(text_a), predict_request(text_b));
+    (&stream).write_all(pipelined.as_bytes()).expect("write");
+    held.wait_entered();
+    common::wait_until("the second request to parse", || {
+        server.metrics().connections().pipelined_total() >= 1
+    });
+    held.open();
+    let mut responses = ResponseParser::new();
+    let (status_a, got_a, _) = responses.read_from(&mut &stream).expect("first response");
+    let (status_b, got_b, _) = responses.read_from(&mut &stream).expect("second response");
+    assert_eq!(status_a, 200, "{got_a}");
+    assert_eq!(status_b, 200, "{got_b}");
+    drop(stream);
+
     // Sequential reference answers, one connection each.
     let body_a = format!(
         "{{\"text\":{}}}",
@@ -72,25 +82,8 @@ fn two_requests_in_one_write_answer_in_order_bit_identically() {
     let (status, want_b) = http_request(addr, "POST", "/predict", Some(&body_b)).unwrap();
     assert_eq!(status, 200, "{want_b}");
     assert_ne!(want_a, want_b, "texts must produce distinguishable answers");
-
-    // Both requests in a single write; the poller parses and dispatches the
-    // second while the first sits in the batch window.
-    let stream = TcpStream::connect(addr).expect("connect");
-    let pipelined = format!("{}{}", predict_request(text_a), predict_request(text_b));
-    (&stream).write_all(pipelined.as_bytes()).expect("write");
-    let mut responses = ResponseParser::new();
-    let (status_a, got_a, _) = responses.read_from(&mut &stream).expect("first response");
-    let (status_b, got_b, _) = responses.read_from(&mut &stream).expect("second response");
-    assert_eq!(status_a, 200, "{got_a}");
-    assert_eq!(status_b, 200, "{got_b}");
     assert_eq!(got_a, want_a, "first pipelined answer diverged");
     assert_eq!(got_b, want_b, "second pipelined answer diverged");
-    drop(stream);
-
-    assert!(
-        server.metrics().connections().pipelined_total() >= 1,
-        "the second request never overlapped the first"
-    );
     server.shutdown();
 }
 
@@ -99,7 +92,7 @@ fn two_requests_in_one_write_answer_in_order_bit_identically() {
 /// like a request that arrived whole.
 #[test]
 fn one_byte_at_a_time_request_parses_over_tcp() {
-    let (server, _model) = start_server();
+    let server = serve_lr(MAX_WAIT);
     let addr = server.addr();
 
     let stream = TcpStream::connect(addr).expect("connect");
@@ -128,7 +121,7 @@ fn one_byte_at_a_time_request_parses_over_tcp() {
 /// poller that absorbed it keeps serving everyone else.
 #[test]
 fn oversized_and_malformed_requests_get_400_without_killing_the_poller() {
-    let (server, _model) = start_server();
+    let server = serve_lr(MAX_WAIT);
     let addr = server.addr();
 
     // Garbage request line.
@@ -214,14 +207,22 @@ fn keep_alive_round_trips_through_http_client_do_not_stall() {
     server.shutdown();
 }
 
-/// An LR server at the Tiny profile with the given batch window.
-fn serve_lr(max_wait: Duration) -> ServerHandle {
-    let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
+/// An LR registry at the Tiny profile.
+fn lr_registry() -> ModelRegistry {
+    ModelRegistry::fit_synthetic(&RegistryConfig {
         kinds: vec![BaselineKind::LogisticRegression],
         profile: SpeedProfile::Tiny,
         training_posts: 120,
         seed: 29,
-    });
+    })
+}
+
+/// An LR server at the Tiny profile with the given batch window.
+fn serve_lr(max_wait: Duration) -> ServerHandle {
+    serve_with(lr_registry(), max_wait)
+}
+
+fn serve_with(registry: ModelRegistry, max_wait: Duration) -> ServerHandle {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 8,
@@ -234,12 +235,12 @@ fn serve_lr(max_wait: Duration) -> ServerHandle {
 
 /// The server half of the Nagle bar: accepted sockets set `TCP_NODELAY`.
 /// Each round pipelines `/healthz` and `/predict` in one write. The healthz
-/// answer goes out at once; the predict answer follows after the batch
-/// window, while the first is still unACKed. With Nagle on, that second
+/// answer goes out at once; the predict answer follows once its batch is
+/// scored, while the first is still unACKed. With Nagle on, that second
 /// response waits for the client's delayed ACK (~40 ms).
 #[test]
 fn pipelined_responses_are_not_held_for_the_clients_delayed_ack() {
-    let server = serve_lr(Duration::from_millis(5));
+    let server = serve_lr(MAX_WAIT);
     let stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))

@@ -2,7 +2,7 @@
 //! wire, the `/debug/slow` ring, Prometheus content negotiation, and the
 //! JSON/Prometheus counter-equality contract the CI smoke also enforces.
 
-use holistix::{BaselineKind, SpeedProfile};
+use holistix::{BaselineKind, Scorer, SpeedProfile};
 use holistix_corpus::json::JsonValue;
 use holistix_serve::http::ResponseParser;
 use holistix_serve::{
@@ -11,23 +11,34 @@ use holistix_serve::{
 };
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
-fn start_server() -> ServerHandle {
-    let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
+mod common;
+use common::HoldFirstBatch;
+
+fn lr_registry() -> ModelRegistry {
+    ModelRegistry::fit_synthetic(&RegistryConfig {
         kinds: vec![BaselineKind::LogisticRegression],
         profile: SpeedProfile::Tiny,
         training_posts: 120,
         seed: 29,
-    });
+    })
+}
+
+fn serve_registry(registry: ModelRegistry) -> ServerHandle {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(20),
+            ..BatchConfig::default()
         },
         ..ServeConfig::default()
     };
     serve("127.0.0.1:0", registry, config).expect("bind loopback")
+}
+
+fn start_server() -> ServerHandle {
+    serve_registry(lr_registry())
 }
 
 fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -58,10 +69,16 @@ fn prom_value(text: &str, series: &str) -> Option<f64> {
 }
 
 /// Two requests pipelined in one write get two *distinct* trace ids, and
-/// every response carries `X-Trace-Id`.
+/// every response carries `X-Trace-Id`. The scorer holds the first request's
+/// batch until the second has been parsed, so both are in flight at once.
 #[test]
 fn pipelined_requests_get_distinct_trace_ids() {
-    let server = start_server();
+    let registry = lr_registry();
+    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
+    let held = HoldFirstBatch::new(model);
+    let server = serve_registry(ModelRegistry::from_scorers(vec![
+        held.clone() as Arc<dyn Scorer>
+    ]));
     let stream = TcpStream::connect(server.addr()).expect("connect");
     let pipelined = format!(
         "{}{}",
@@ -69,6 +86,11 @@ fn pipelined_requests_get_distinct_trace_ids() {
         predict_request("my job exhausts me completely", "")
     );
     (&stream).write_all(pipelined.as_bytes()).expect("write");
+    held.wait_entered();
+    common::wait_until("the second request to parse", || {
+        server.metrics().connections().pipelined_total() >= 1
+    });
+    held.open();
     // Raw socket plus parser: each pipelined response's headers, in arrival
     // order.
     let mut responses = ResponseParser::new();
@@ -268,6 +290,7 @@ fn scrape_after_one_traced_predict_carries_every_benchmark_family() {
         "holistix_os_threads",
         "holistix_queue_batch_size",
         "holistix_queue_score_us",
+        "holistix_queue_batch_close_total",
         "holistix_shed_total",
     ] {
         assert!(

@@ -2,8 +2,9 @@
 //! cross-request micro-batching.
 //!
 //! A real server on an ephemeral port, driven by genuinely concurrent clients,
-//! must (a) coalesce at least two concurrent single-text requests into one
-//! scoring batch (visible in the `/metrics` batch histogram), and (b) return
+//! must (a) coalesce concurrent single-text requests that queue behind a
+//! held batch into one scoring batch (visible in the `/metrics` batch
+//! histogram), and (b) return
 //! per-request probabilities **bit-identical** to what the warm model answers
 //! for the same text via `probabilities_one` — batching may change latency,
 //! never answers. The JSON layer's shortest-round-trip `f64` formatting is
@@ -16,29 +17,44 @@ use holistix_serve::{
     http_request, serve, BatchConfig, HttpClient, ModelRegistry, RegistryConfig, ServeConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
-fn start_server() -> (holistix_serve::ServerHandle, Arc<dyn Scorer>) {
-    let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
+mod common;
+use common::HoldFirstBatch;
+
+fn lr_registry() -> ModelRegistry {
+    ModelRegistry::fit_synthetic(&RegistryConfig {
         kinds: vec![BaselineKind::LogisticRegression],
         profile: SpeedProfile::Tiny,
         training_posts: 120,
         seed: 13,
-    });
-    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
+    })
+}
+
+fn serve_registry(registry: ModelRegistry) -> holistix_serve::ServerHandle {
     let config = ServeConfig {
         handlers: 8,
         batch: BatchConfig {
             max_batch: 8,
-            // Generous window so concurrent clients reliably land in one batch
-            // even on a loaded CI machine.
-            max_wait: Duration::from_millis(250),
+            ..BatchConfig::default()
         },
         ..ServeConfig::default()
     };
-    let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
-    (server, model)
+    serve("127.0.0.1:0", registry, config).expect("bind loopback")
+}
+
+fn start_server() -> (holistix_serve::ServerHandle, Arc<dyn Scorer>) {
+    let registry = lr_registry();
+    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
+    (serve_registry(registry), model)
+}
+
+/// `kind`'s queue depth in the server's `/metrics` document.
+fn queue_depth(server: &holistix_serve::ServerHandle, kind: &str) -> f64 {
+    let snapshot = server.metrics().snapshot(None);
+    let queue = snapshot.get("queues").unwrap().get(kind).unwrap();
+    queue.get("depth").unwrap().as_f64().unwrap()
 }
 
 fn predict_one(addr: std::net::SocketAddr, text: &str) -> Vec<f64> {
@@ -76,11 +92,18 @@ fn max_batch_from_metrics(addr: std::net::SocketAddr) -> usize {
     max_size
 }
 
-/// The acceptance test: ≥2 concurrent requests batch together, and every
-/// client gets probabilities bit-identical to single-text scoring.
+/// The acceptance test: concurrent requests batch together, and every
+/// client gets probabilities bit-identical to single-text scoring. The
+/// scorer holds the first request's batch until three more requests are
+/// queued behind it, so those three coalesce by schedule, not by timing.
 #[test]
 fn concurrent_requests_batch_together_and_stay_bit_identical() {
-    let (server, model) = start_server();
+    let registry = lr_registry();
+    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
+    let held = HoldFirstBatch::new(Arc::clone(&model));
+    let server = serve_registry(ModelRegistry::from_scorers(vec![
+        held.clone() as Arc<dyn Scorer>
+    ]));
     let addr = server.addr();
 
     let corpus = HolistixCorpus::generate_small(30, 99);
@@ -93,38 +116,33 @@ fn concurrent_requests_batch_together_and_stay_bit_identical() {
     assert_eq!(texts.len(), 4);
     let expected: Vec<Vec<f64>> = texts.iter().map(|t| model.probabilities_one(t)).collect();
 
-    // Several rounds of 4 concurrent single-text clients. One round is
-    // normally enough for a ≥2 batch; retry a few times to be immune to a
-    // pathologically scheduled CI box. Correctness is asserted every round.
-    let mismatches = Arc::new(AtomicUsize::new(0));
-    for _round in 0..5 {
-        let barrier = Arc::new(Barrier::new(texts.len()));
-        std::thread::scope(|scope| {
-            for (text, want) in texts.iter().zip(&expected) {
-                let barrier = Arc::clone(&barrier);
-                let mismatches = Arc::clone(&mismatches);
-                scope.spawn(move || {
-                    barrier.wait();
-                    let got = predict_one(addr, text);
-                    assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(want) {
-                        if g.to_bits() != w.to_bits() {
-                            mismatches.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                });
-            }
+    let answers: Vec<Vec<f64>> = std::thread::scope(|scope| {
+        let first = scope.spawn(|| predict_one(addr, &texts[0]));
+        held.wait_entered();
+        let rest: Vec<_> = texts[1..]
+            .iter()
+            .map(|text| scope.spawn(move || predict_one(addr, text)))
+            .collect();
+        common::wait_until("three requests queued behind the held batch", || {
+            queue_depth(&server, "LR") == 4.0
         });
-        if max_batch_from_metrics(addr) >= 2 {
-            break;
+        held.open();
+        std::iter::once(first)
+            .chain(rest)
+            .map(|client| client.join().expect("client"))
+            .collect()
+    });
+
+    for (got, want) in answers.iter().zip(&expected) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "served probabilities diverged bitwise from probabilities_one"
+            );
         }
     }
-
-    assert_eq!(
-        mismatches.load(Ordering::SeqCst),
-        0,
-        "served probabilities diverged bitwise from probabilities_one"
-    );
     let max_batch = max_batch_from_metrics(addr);
     assert!(
         max_batch >= 2,
@@ -311,10 +329,6 @@ impl Scorer for GatedScorer {
     fn kind(&self) -> BaselineKind {
         BaselineKind::Transformer(holistix::transformer::ModelKind::Bert)
     }
-
-    fn cost_hint(&self) -> Duration {
-        Duration::from_millis(50)
-    }
 }
 
 /// The per-kind queue isolation bar: with the slow (transformer) queue
@@ -468,17 +482,15 @@ impl Scorer for PanickingScorer {
     fn kind(&self) -> BaselineKind {
         BaselineKind::Transformer(holistix::transformer::ModelKind::Bert)
     }
-
-    fn cost_hint(&self) -> Duration {
-        Duration::from_millis(1)
-    }
 }
 
 /// Every request gets exactly one response, even when its scorer panics
 /// mid-batch: the request answers 500 instead of leaving its connection
 /// waiting forever, the same keep-alive connection goes on to serve a
 /// bit-identical LR prediction and `/healthz`, and the server still shuts
-/// down.
+/// down. A panic costs one batch, not the kind: the next request to the
+/// panicking kind is scored (and fails) again, answering 500 rather than
+/// 503, and no depth reservation is left behind.
 #[test]
 fn panicking_scorer_answers_500_and_the_connection_keeps_serving() {
     let corpus = HolistixCorpus::generate_small(120, 17);
@@ -533,6 +545,16 @@ fn panicking_scorer_answers_500_and_the_connection_keeps_serving() {
 
     let (status, body) = client.request("GET", "/healthz", None).expect("healthz");
     assert_eq!(status, 200, "{body}");
+
+    let (status, body) = client
+        .request(
+            "POST",
+            "/predict",
+            Some(r#"{"text":"this batch panics too","model":"BERT"}"#),
+        )
+        .expect("an answer despite the second panic");
+    assert_eq!(status, 500, "the BERT queue stopped draining: {body}");
+    assert_eq!(queue_depth(&server, "BERT"), 0.0);
     drop(client);
     server.shutdown();
 }
